@@ -20,12 +20,11 @@ import time
 from .conjectures import (
     CheckResult,
     FAMILIES,
-    frobenius_scan,
-    markov_numbers_up_to,
+    _collect_by_value,
     verify_family,
     verify_theorem1_random,
 )
-from .counting import count_lattice, fit_constant
+from .counting import fit_constant
 from .errors import (
     AccuracyLimitError,
     NotHyperbolicError,
@@ -158,19 +157,19 @@ def cmd_tree(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    if args.exact:
-        try:
-            q, p = int(args.x), int(args.y)
-        except ValueError:
-            raise PreconditionViolatedError(
-                "--exact requires integer coordinates") from None
-        enc = stable_norm_interval((q, p))
-        _emit(_json({"vector": [str(q), str(p)], "lo": enc.lo, "hi": enc.hi,
-                     "width": enc.width}), args.out)
-        return 0
-    x, y = float(args.x), float(args.y)
     try:
-        enc = norm_real(x, y, tol=args.tol)
+        if args.exact:
+            try:
+                q, p = int(args.x), int(args.y)
+            except ValueError:
+                raise PreconditionViolatedError(
+                    "--exact requires integer coordinates") from None
+            payload = {"vector": [str(q), str(p)]}
+            enc = stable_norm_interval((q, p))
+        else:
+            x, y = float(args.x), float(args.y)
+            payload = {"x": x, "y": y, "tol": args.tol}
+            enc = norm_real(x, y, tol=args.tol)
     except AccuracyLimitError as ex:
         payload = {"error": "accuracy limit", "tol": args.tol}
         if ex.interval is not None:
@@ -178,8 +177,8 @@ def cmd_norm(args) -> int:
                            width=ex.interval.width)
         _emit(_json(payload), args.out)
         return 1
-    _emit(_json({"x": x, "y": y, "tol": args.tol, "lo": enc.lo, "hi": enc.hi,
-                 "width": enc.width}), args.out)
+    payload.update(lo=enc.lo, hi=enc.hi, width=enc.width)
+    _emit(_json(payload), args.out)
     return 0
 
 
@@ -190,9 +189,10 @@ def cmd_count(args) -> int:
         rec = {"bound": str(pt.bound), "count": pt.count,
                "cEstimate": pt.c_estimate}
         if args.lattice:
-            lat = count_lattice(pt.bound)
-            rec["lattice"] = lat
-            rec["offset"] = lat - pt.count
+            # count_lattice(R) is count_triples(R) by the slope-triple
+            # bijection, so the walk fit_constant made is not repeated.
+            rec["lattice"] = pt.count
+            rec["offset"] = 0
         records.append(rec)
     _emit(_json({"points": records,
                  "note": "cEstimate = count / (ln bound)^2, natural log"}),
@@ -202,13 +202,13 @@ def cmd_count(args) -> int:
 
 def cmd_frobenius(args) -> int:
     bound = int(args.bound)
-    duplicates = frobenius_scan(bound)
+    found = _collect_by_value(bound)
+    duplicates = sorted(v for v, slopes in found.items() if len(slopes) > 1)
     payload = {"bound": str(bound),
-               "duplicates": [str(v) for v in duplicates]}
-    values = markov_numbers_up_to(bound)
-    payload["valueCount"] = len(values)
+               "duplicates": [str(v) for v in duplicates],
+               "valueCount": len(found)}
     if args.list:
-        payload["markovNumbers"] = [str(v) for v in values]
+        payload["markovNumbers"] = [str(v) for v in sorted(found)]
     _emit(_json(payload), args.out)
     return 0 if not duplicates else 1
 

@@ -17,7 +17,7 @@ from math import gcd, isfinite
 from typing import NamedTuple
 
 from .errors import AccuracyLimitError, PreconditionViolatedError
-from .indexing import Slope, markov_of_slope, markov_table
+from .indexing import Slope, farey_walk, markov_of_slope, markov_table
 from .norm import NormInterval, norm_real
 
 FAMILIES = ("numerator", "denominator", "sum")
@@ -80,11 +80,16 @@ def _pairs_by_group(table, key):
 
 
 def verify_family(family: str, max_bound: int) -> VerificationReport:
-    """Exhaustively compare every admissible (p, q, i) within the bound.
+    """Exhaustively decide every admissible (p, q, i) within the bound.
 
     Grouping slopes that only differ in the varying parameter turns the
     family into all ordered pairs inside each group, so the whole run is a
-    single table build plus exact big-integer comparisons.
+    single table build plus exact big-integer comparisons.  Sorted by the
+    varying parameter, a group is increasing on every pair exactly when it
+    is strictly increasing between neighbours (< is transitive), so only
+    neighbours are compared and ``cases`` counts the n(n-1)/2 pairs this
+    decides.  A group that fails a neighbour check is rescanned pair by
+    pair to list every violating (p, q, i).
     """
     _require(family in FAMILIES, f"unknown family {family!r}")
     _require(isinstance(max_bound, int) and max_bound >= 2,
@@ -108,8 +113,10 @@ def verify_family(family: str, max_bound: int) -> VerificationReport:
     for members in groups.values():
         members.sort(key=in_order)
         values = [table[s] for s in members]
+        cases += len(values) * (len(values) - 1) // 2
+        if all(a < b for a, b in zip(values, values[1:])):
+            continue
         for (ia, a), (ib, b) in itertools.combinations(enumerate(members), 2):
-            cases += 1
             if not values[ia] < values[ib]:
                 violations.append(witness(a, b))
     return VerificationReport(family, max_bound, cases, tuple(violations),
@@ -224,15 +231,8 @@ def _collect_by_value(value_bound: int) -> dict[int, list[Slope]]:
     found: dict[int, list[Slope]] = {1: [Slope(0, 1)]}
     if value_bound >= 2:
         found[2] = [Slope(1, 1)]
-    stack = [((0, 1, 1), (1, 1, 2), (1, 2, 5))]
-    while stack:
-        (pl, ql, ml), (pr, qr, mr), (pm, qm, mm) = stack.pop()
-        if mm > value_bound:
-            continue
+    walk = farey_walk(lambda node: node[2][2] <= value_bound)
+    for (_, _, ml), (_, _, mr), (pm, qm, mm) in walk:
         assert ml * ml + mr * mr + mm * mm == 3 * ml * mr * mm
         found.setdefault(mm, []).append(Slope(pm, qm))
-        stack.append(((pl, ql, ml), (pm, qm, mm),
-                      (pl + pm, ql + qm, 3 * ml * mm - mr)))
-        stack.append(((pm, qm, mm), (pr, qr, mr),
-                      (pm + pr, qm + qr, 3 * mm * mr - ml)))
     return found

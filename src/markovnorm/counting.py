@@ -1,9 +1,10 @@
 """Counting Markov triples below a bound and fitting the growth constant.
 
 The number of triples with largest entry at most R grows like C (ln R)^2.
-Both counters walk the value recurrence directly with exact integers and
-prune as soon as the new maximum exceeds the bound, which is valid because
-the maximum strictly increases away from the root region.
+Counting walks the Farey tree with exact Markov numbers and prunes as soon
+as a node's value exceeds the bound, which is valid because the value
+strictly increases from a node to its children.  Triples and slopes are in
+bijection, so the triple count and the slope count are one walk.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from typing import NamedTuple
 
 from .errors import PreconditionViolatedError
+from .indexing import farey_walk
 
 
 class CountPoint(NamedTuple):
@@ -28,39 +30,19 @@ def _require_bound(R):
 def count_triples(R: int) -> int:
     """Number of unordered Markov triples with maximal entry <= R."""
     _require_bound(R)
-    count = 1 + (1 if R >= 2 else 0)  # (1,1,1) and (1,1,2)
-    stack = [(1, 2, 5)] if R >= 5 else []
-    while stack:
-        ml, mr, mm = stack.pop()
-        if mm > R:
-            continue
-        count += 1
-        stack.append((ml, mm, 3 * ml * mm - mr))
-        stack.append((mm, mr, 3 * mm * mr - ml))
-    return count
+    # (1,1,1) and (1,1,2), then one triple per walked node.
+    count = 1 + (1 if R >= 2 else 0)
+    return count + sum(1 for _ in farey_walk(lambda node: node[2][2] <= R))
 
 
 def count_lattice(R: int) -> int:
     """Number of reduced slopes p/q in [0, 1] whose Markov number is <= R.
 
-    Walks the mediant tree between 0/1 and 1/1 pruning on the value, then
-    adds the two boundary slopes.  Empirically this equals count_triples(R)
-    exactly (offset 0): the spine triples pair with the boundary slopes and
-    every other triple pairs with the interior slope indexing it.
+    This equals count_triples(R) by a bijection: the spine triples (1,1,1)
+    and (1,1,2) pair with the boundary slopes 0/1 and 1/1, and every other
+    triple pairs with the interior slope whose mediant node it labels.
     """
-    _require_bound(R)
-    count = 1 + (1 if R >= 2 else 0)  # slopes 0/1 and 1/1
-    stack = [((0, 1, 1), (1, 1, 2), (1, 2, 5))] if R >= 5 else []
-    while stack:
-        (pl, ql, ml), (pr, qr, mr), (pm, qm, mm) = stack.pop()
-        if mm > R:
-            continue
-        count += 1
-        stack.append(((pl, ql, ml), (pm, qm, mm),
-                      (pl + pm, ql + qm, 3 * ml * mm - mr)))
-        stack.append(((pm, qm, mm), (pr, qr, mr),
-                      (pm + pr, qm + qr, 3 * mm * mr - ml)))
-    return count
+    return count_triples(R)
 
 
 def fit_constant(schedule: list[int]) -> list[CountPoint]:

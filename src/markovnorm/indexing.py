@@ -9,6 +9,8 @@ Two independent routes compute the Markov number m(p/q):
   matrices it spells, and divide the trace by 3.
 
 They must agree everywhere; tests and the acceptance gate compare them.
+``farey_walk`` is the one pruned depth-first walk of the Farey tree with
+its Markov numbers; tables, the value scan and the counters all use it.
 The free-group helpers (abelianization, Nielsen moves, character triples)
 operate on words over a, b and their formal inverses A, B.
 """
@@ -96,21 +98,33 @@ def markov_of_slope(p: int, q: int) -> int:
     return m_med
 
 
+def farey_walk(keep):
+    """Depth-first walk over the interior Farey nodes of (0, 1).
+
+    Each node is ((pl, ql, ml), (pr, qr, mr), (pm, qm, mm)): the left and
+    right endpoints and their mediant, each with its Markov number.  A node
+    for which keep(node) is false is neither yielded nor expanded, so its
+    whole subtree is pruned.  The right child is popped first.
+    """
+    stack = [((0, 1, 1), (1, 1, 2), (1, 2, 5))]
+    while stack:
+        node = stack.pop()
+        if not keep(node):
+            continue
+        yield node
+        left, right, mid = node
+        (pl, ql, ml), (pr, qr, mr), (pm, qm, mm) = node
+        stack.append((left, mid, (pl + pm, ql + qm, 3 * ml * mm - mr)))
+        stack.append((mid, right, (pm + pr, qm + qr, 3 * mm * mr - ml)))
+
+
 def markov_table(max_q: int) -> dict[Slope, int]:
     """Markov numbers of every reduced p/q with q <= max_q, one pruned walk."""
     if max_q < 1:
         raise OutOfRangeError(f"max_q must be >= 1, got {max_q!r}")
     table = {Slope(0, 1): 1, Slope(1, 1): 2}
-    stack = [((0, 1, 1), (1, 1, 2), (1, 2, 5))]
-    while stack:
-        (pl, ql, ml), (pr, qr, mr), (pm, qm, mm) = stack.pop()
-        if qm > max_q:
-            continue
+    for _, _, (pm, qm, mm) in farey_walk(lambda node: node[2][1] <= max_q):
         table[Slope(pm, qm)] = mm
-        left = (pl, ql, ml), (pm, qm, mm), (pl + pm, ql + qm, 3 * ml * mm - mr)
-        right = (pm, qm, mm), (pr, qr, mr), (pm + pr, qm + qr, 3 * mm * mr - ml)
-        stack.append(left)
-        stack.append(right)
     return table
 
 

@@ -42,41 +42,9 @@ def iv_sub(a, b):
     return (_dn(a[0] - b[1]), _up(a[1] - b[0]))
 
 
-def iv_neg(a):
-    return (-a[1], -a[0])
-
-
 def iv_mul(a, b):
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (_dn(min(ps)), _up(max(ps)))
-
-
-def iv_div(a, b):
-    """a / b for b strictly positive."""
-    if b[0] <= 0.0:
-        raise ZeroDivisionError("interval divisor must be strictly positive")
-    return (_dn(min(a[0] / b[0], a[0] / b[1])), _up(max(a[1] / b[0], a[1] / b[1])))
-
-
-def iv_scale_pow2(a, e: int):
-    """a * 2**e; exact while the endpoints stay normal floats."""
-    lo, hi = math.ldexp(a[0], e), math.ldexp(a[1], e)
-    if math.isinf(lo) or math.isinf(hi):
-        raise OverflowError("power-of-two scaling overflowed")
-
-    def roundtrips(scaled: float, original: float) -> bool:
-        try:
-            return math.ldexp(scaled, -e) == original
-        except OverflowError:
-            return False
-
-    # ldexp only rounds on underflow; widen there.  The round trip also
-    # catches endpoints flushed all the way to zero.
-    if not roundtrips(lo, a[0]):
-        lo = _dn(lo)
-    if not roundtrips(hi, a[1]):
-        hi = _up(hi)
-    return (lo, hi)
 
 
 def iv_sqrt(a):

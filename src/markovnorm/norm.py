@@ -113,19 +113,37 @@ def length_from_trace(t: int) -> float:
 
 
 def stable_norm(v) -> float:
-    """Stable norm of a nonzero integer vector."""
+    """Stable norm of a nonzero integer vector.
+
+    Raises AccuracyLimitError when the norm exceeds the float range.
+    """
     (cq, cp), _ = canonicalize(v)
     g = gcd(cq, cp)
     m = markov_of_slope(cp // g, cq // g)
-    return g * _acosh_half_float(3 * m)
+    try:
+        out = g * _acosh_half_float(3 * m)
+    except OverflowError:
+        out = math.inf
+    if out == math.inf:
+        raise AccuracyLimitError("norm exceeds float range")
+    return out
 
 
 def stable_norm_interval(v) -> NormInterval:
-    """Certified enclosure of the stable norm of a nonzero integer vector."""
+    """Certified enclosure of the stable norm of a nonzero integer vector.
+
+    Raises AccuracyLimitError when the enclosure exceeds the float range.
+    """
     (cq, cp), _ = canonicalize(v)
     g = gcd(cq, cp)
     m = markov_of_slope(cp // g, cq // g)
-    return NormInterval(*iv_mul(iv_from_int(g), iv_acosh_half_int(3 * m)))
+    try:
+        enc = iv_mul(iv_from_int(g), iv_acosh_half_int(3 * m))
+    except OverflowError:
+        enc = (0.0, math.inf)
+    if enc[1] == math.inf:
+        raise AccuracyLimitError("norm exceeds float range")
+    return NormInterval(*enc)
 
 
 def _iv_from_int_pow2(n: int, e: int):

@@ -121,6 +121,12 @@ def test_norm_accuracy_limit_exit_code(capsys):
     assert payload["lo"] < payload["hi"]
 
 
+def test_norm_exact_beyond_float_range(capsys):
+    code, out, err = run(capsys, "norm", "--exact", str(10**400), "0")
+    assert code == 1
+    assert json.loads(out) == {"error": "accuracy limit", "tol": 1e-9}
+
+
 def test_norm_exact_requires_integers(capsys):
     code, out, err = run(capsys, "norm", "--exact", "2.5", "1.0")
     assert code == 2 and err

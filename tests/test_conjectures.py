@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import markovnorm.conjectures as conjectures
 import oracles
 from markovnorm import (
     FAMILIES,
@@ -19,6 +20,7 @@ from markovnorm import (
     frobenius_scan,
     markov_numbers_up_to,
     markov_of_slope,
+    markov_table,
     theorem1_check_real,
     verify_family,
     verify_theorem1_random,
@@ -84,6 +86,36 @@ def test_verify_family_counts_match_definition(table_60):
         assert rep.verified
         assert rep.cases == recount(family, 60, table_60)
         assert rep.seconds >= 0.0
+
+
+# family -> (group key, order key, two slopes of one group to swap)
+SWAPS = {
+    "numerator": (lambda s: s.p, lambda s: s.q, (Slope(2, 5), Slope(2, 13))),
+    "denominator": (lambda s: s.q, lambda s: s.p, (Slope(1, 7), Slope(4, 7))),
+    "sum": (lambda s: s.p + s.q, lambda s: s.q, (Slope(1, 8), Slope(4, 5))),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_family_lists_all_pair_violations(monkeypatch, family):
+    # Real tables never fail a neighbour check, so break one group.
+    group_key, order_key, (a, b) = SWAPS[family]
+    table = markov_table(30)
+    table[a], table[b] = table[b], table[a]
+    monkeypatch.setattr(conjectures, "markov_table", lambda bound: table)
+    groups = {}
+    for s in table:
+        groups.setdefault(group_key(s), []).append(s)
+    expected = []
+    for members in groups.values():
+        for s1, s2 in itertools.combinations(sorted(members, key=order_key), 2):
+            if not table[s1] < table[s2]:
+                i = s2.p - s1.p if family == "denominator" else s2.q - s1.q
+                expected.append((s1.p, s1.q, i))
+    rep = verify_family(family, 30)
+    assert len(expected) > 1
+    assert list(rep.violations) == expected
+    assert rep.cases == recount(family, 30, table)
 
 
 def test_verify_family_rejects_silly_bounds():

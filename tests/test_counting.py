@@ -25,10 +25,11 @@ def test_count_triples_small_bounds():
 
 
 def test_count_triples_matches_quadratic_search(brute_1e4):
-    for bound in (1, 2, 5, 34, 100, 433, 10**3, 10**4):
-        expected = sum(1 for t in brute_1e4 if t[2] <= bound)
-        assert count_triples(bound) == expected
-    assert count_triples(10**4) == 21
+    for count in (count_triples, count_lattice):
+        for bound in (1, 2, 5, 34, 100, 433, 10**3, 10**4):
+            expected = sum(1 for t in brute_1e4 if t[2] <= bound)
+            assert count(bound) == expected
+        assert count(10**4) == 21
 
 
 def test_count_lattice_agrees_with_count_triples():

@@ -138,6 +138,15 @@ def test_stable_norm_rejects_zero():
         stable_norm_interval((0, 0))
 
 
+def test_stable_norm_beyond_float_range_raises():
+    # 10**400 does not convert to a float; 1.5e308 does, but its norm
+    # 1.5e308 * arccosh(3) does not.
+    for v in [(10**400, 0), (15 * 10**307, 15 * 10**307)]:
+        for fn in (stable_norm, stable_norm_interval):
+            with pytest.raises(AccuracyLimitError, match="float range"):
+                fn(v)
+
+
 def test_length_from_trace():
     with mpmath.workdps(40):
         for t in (3, 6, 15, 39, 87, -3, -87):
