@@ -24,29 +24,22 @@ from .counting import CountPoint, count_lattice, count_triples, fit_constant
 from .errors import (
     AccuracyLimitError,
     InternalInconsistencyError,
-    NotHyperbolicError,
     NotMarkovError,
     OutOfRangeError,
     PreconditionViolatedError,
 )
 from .indexing import (
     GENERATORS,
-    NIELSEN_MOVES,
     Slope,
-    abelianize,
     as_slope,
-    char_map,
     christoffel_word,
-    invert_word,
     markov_of_slope,
     markov_of_slope_via_trace,
     markov_table,
     mat_det,
     mat_mul,
     mat_trace,
-    nielsen_move,
     parse_slope,
-    reduce_word,
     stern_brocot_path,
     word_matrix,
 )
@@ -56,7 +49,6 @@ from .norm import (
     apply_symmetry,
     ball_boundary_sample,
     canonicalize,
-    length_from_trace,
     norm_real,
     stable_norm,
     stable_norm_interval,
@@ -70,10 +62,7 @@ from .triples import (
     children,
     cubic_defect,
     enumerate_tree,
-    is_kappa_triple,
     is_markov,
-    kappa,
-    kappa_flip,
     reduce_to_root,
     reduction_chain,
     vieta_flip,

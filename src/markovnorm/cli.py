@@ -13,25 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 from .conjectures import (
-    CheckResult,
     FAMILIES,
     _collect_by_value,
     verify_family,
     verify_theorem1_random,
 )
 from .counting import fit_constant
-from .errors import (
-    AccuracyLimitError,
-    NotHyperbolicError,
-    NotMarkovError,
-    OutOfRangeError,
-    PreconditionViolatedError,
-)
+from .errors import AccuracyLimitError, PreconditionViolatedError
 from .indexing import (
     christoffel_word,
     markov_of_slope,
@@ -42,10 +34,6 @@ from .indexing import (
 )
 from .norm import ball_boundary_sample, norm_real, stable_norm, stable_norm_interval
 from .triples import enumerate_tree
-
-_USAGE_ERRORS = (PreconditionViolatedError, OutOfRangeError, NotMarkovError,
-                 NotHyperbolicError, ValueError)
-
 
 def _emit(text: str, out: str | None):
     if out is None:
@@ -272,12 +260,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    # Markov numbers outgrow the default int-to-str digit limit (Python
+    # 3.11+), and every output path prints them in full.
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if max_digits:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.fn(args)
-    except _USAGE_ERRORS as ex:
+    except ValueError as ex:  # every package error for bad input is one
         print(f"markovnorm: error: {ex}", file=sys.stderr)
         return 2
     finally:
+        if max_digits:
+            sys.set_int_max_str_digits(max_digits)
         print(f"wall {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

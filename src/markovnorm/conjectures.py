@@ -152,21 +152,20 @@ def _certify_less(a, b, tol: float) -> bool:
 
 
 def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
-                        parts=None, extend: bool = False) -> CheckResult:
+                        parts=None) -> CheckResult:
     """Certify the three stable-norm monotonicity inequalities at (q, p).
 
     Part 1: ||(q,p)|| < ||(q+i,p)||; part 2: ||(q,p)|| < ||(q,p+i)||;
     part 3 (requires p < q): ||(q,p)|| < ||(q+i,p-i)||.  By default every
     applicable part is checked.  A part-3 comparand with p - i < 0 leaves
-    the first quadrant, so that part is skipped by default; when requested
-    explicitly it is evaluated through the symmetry extension of the norm
-    if extend=True and flagged Inconclusive otherwise.
+    the first quadrant, so that part is skipped by default and flagged
+    Inconclusive when requested explicitly.
     """
     _require(all(isfinite(v) for v in (q, p, i)), "arguments must be finite")
     _require(q >= 0 and p >= 0, f"need q, p >= 0, got q={q}, p={p}")
     _require(i > 0, f"need i > 0, got {i}")
     if parts is None:
-        parts = (1, 2, 3) if p < q and (p - i >= 0 or extend) else (1, 2)
+        parts = (1, 2, 3) if p < q and p - i >= 0 else (1, 2)
     _require(set(parts) <= {1, 2, 3} and len(parts) > 0,
              f"parts must be drawn from (1, 2, 3), got {parts!r}")
     if 3 in parts:
@@ -177,7 +176,7 @@ def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
         elif part == 2:
             other = (q, p + i)
         else:
-            if p - i < 0 and not extend:
+            if p - i < 0:
                 return CheckResult.INCONCLUSIVE
             other = (q + i, p - i)
         if not _certify_less((q, p), other, tol):

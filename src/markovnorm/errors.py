@@ -9,10 +9,6 @@ class OutOfRangeError(ValueError):
     """Argument lies outside the domain of the requested operation."""
 
 
-class NotHyperbolicError(ValueError):
-    """Trace has absolute value <= 2, so no real translation length exists."""
-
-
 class InternalInconsistencyError(RuntimeError):
     """A structural identity the implementation relies on failed to hold."""
 

@@ -11,15 +11,13 @@ Two independent routes compute the Markov number m(p/q):
 They must agree everywhere; tests and the acceptance gate compare them.
 ``farey_walk`` is the one pruned depth-first walk of the Farey tree with
 its Markov numbers; tables, the value scan and the counters all use it.
-The free-group helpers (abelianization, Nielsen moves, character triples)
-operate on words over a, b and their formal inverses A, B.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     InternalInconsistencyError,
@@ -150,12 +148,7 @@ def christoffel_word(p: int, q: int) -> str:
 
 
 # Generator matrices for the letters; both have trace 3 and determinant 1.
-GENERATORS = {
-    "a": (1, 1, 1, 2),
-    "b": (2, 1, 1, 1),
-    "A": (2, -1, -1, 1),
-    "B": (1, -1, -1, 2),
-}
+GENERATORS = {"a": (1, 1, 1, 2), "b": (2, 1, 1, 1)}
 IDENTITY = (1, 0, 0, 1)
 
 
@@ -174,7 +167,7 @@ def mat_det(m) -> int:
 
 
 def word_matrix(word: str):
-    """Product of the generator matrices spelled by ``word`` (letters abAB)."""
+    """Product of the generator matrices spelled by ``word`` (letters a, b)."""
     out = IDENTITY
     for letter in word:
         try:
@@ -193,55 +186,3 @@ def _trace_to_markov(trace: int) -> int:
 def markov_of_slope_via_trace(p: int, q: int) -> int:
     """Markov number of p/q as one third of the Christoffel word's trace."""
     return _trace_to_markov(mat_trace(word_matrix(christoffel_word(p, q))))
-
-
-def invert_word(word: str) -> str:
-    return word[::-1].swapcase()
-
-
-def reduce_word(word: str) -> str:
-    """Cancel adjacent inverse letter pairs until none remain."""
-    out: list[str] = []
-    for letter in word:
-        if out and out[-1] == letter.swapcase() and out[-1] != letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return "".join(out)
-
-
-def abelianize(word: str) -> tuple[int, int]:
-    """Signed letter counts (a-count, b-count) of a word over abAB."""
-    for letter in word:
-        if letter not in "abAB":
-            raise OutOfRangeError(f"unknown letter {letter!r} in word")
-    return (
-        word.count("a") - word.count("A"),
-        word.count("b") - word.count("B"),
-    )
-
-
-NIELSEN_MOVES = ("swap", "multiply", "multiply_inverse")
-
-
-def nielsen_move(pair: tuple[str, str], kind: str) -> tuple[str, str]:
-    """Apply one basis move to a pair of free-group words.
-
-    swap: (w1, w2) -> (w2, w1); multiply: -> (w1 w2, w2);
-    multiply_inverse: -> (w1 w2^-1, w2).  Results are freely reduced.
-    """
-    w1, w2 = pair
-    if kind == "swap":
-        return (w2, w1)
-    if kind == "multiply":
-        return (reduce_word(w1 + w2), w2)
-    if kind == "multiply_inverse":
-        return (reduce_word(w1 + invert_word(w2)), w2)
-    raise OutOfRangeError(f"unknown Nielsen move {kind!r}")
-
-
-def char_map(pair: tuple[str, str]) -> tuple[int, int, int]:
-    """Character triple (tr W1, tr W2, tr W1W2) of a pair of words."""
-    m1 = word_matrix(pair[0])
-    m2 = word_matrix(pair[1])
-    return (mat_trace(m1), mat_trace(m2), mat_trace(mat_mul(m1, m2)))

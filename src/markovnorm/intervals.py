@@ -26,14 +26,6 @@ def _up(x: float) -> float:
     return math.nextafter(x, INF)
 
 
-def iv_from_int(n: int):
-    """Exact if |n| < 2**53, otherwise one-ulp wide."""
-    f = float(n)
-    if f == n:
-        return (f, f)
-    return (_dn(f), _up(f))
-
-
 def iv_add(a, b):
     return (_dn(a[0] + b[0]), _up(a[1] + b[1]))
 

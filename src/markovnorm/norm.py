@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .errors import (
     AccuracyLimitError,
     InternalInconsistencyError,
-    NotHyperbolicError,
     OutOfRangeError,
     PreconditionViolatedError,
 )
@@ -31,7 +30,6 @@ from .intervals import (
     iv_acosh_half_int,
     iv_acosh_of_logtrace,
     iv_add,
-    iv_from_int,
     iv_ln_int,
     iv_mul,
     iv_sub,
@@ -103,15 +101,6 @@ def _acosh_half_float(n: int) -> float:
     return math.log(n)
 
 
-def length_from_trace(t: int) -> float:
-    """Translation length 2 arccosh(|t|/2) of a trace-t isometry."""
-    if not isinstance(t, int):
-        raise PreconditionViolatedError(f"trace must be an int, got {t!r}")
-    if abs(t) <= 2:
-        raise NotHyperbolicError(f"|trace| must exceed 2, got {t}")
-    return 2.0 * _acosh_half_float(abs(t))
-
-
 def stable_norm(v) -> float:
     """Stable norm of a nonzero integer vector.
 
@@ -138,7 +127,7 @@ def stable_norm_interval(v) -> NormInterval:
     g = gcd(cq, cp)
     m = markov_of_slope(cp // g, cq // g)
     try:
-        enc = iv_mul(iv_from_int(g), iv_acosh_half_int(3 * m))
+        enc = iv_mul(_iv_from_int_pow2(g, 0), iv_acosh_half_int(3 * m))
     except OverflowError:
         enc = (0.0, math.inf)
     if enc[1] == math.inf:

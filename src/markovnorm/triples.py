@@ -4,8 +4,7 @@ A Markov triple is a positive integer solution of x^2 + y^2 + z^2 = 3xyz.
 Each coordinate can be flipped to the other root of its quadratic, which
 organises all solutions into a tree: (1,1,1) -> (1,1,2) -> (1,2,5) is a
 singular spine (the flips there coincide), and below (1,2,5) every triple
-has exactly two distinct children.  The companion form a^2 + b^2 + c^2 = abc
-is the same tree scaled by 3.
+has exactly two distinct children.
 """
 
 from __future__ import annotations
@@ -27,11 +26,6 @@ def cubic_defect(x: int, y: int, z: int) -> int:
     return x * x + y * y + z * z - 3 * x * y * z
 
 
-def kappa(a: int, b: int, c: int) -> int:
-    """a^2 + b^2 + c^2 - abc; zero exactly on tripled Markov triples."""
-    return a * a + b * b + c * c - a * b * c
-
-
 def is_markov(t) -> bool:
     """True when t is a positive integer triple with cubic_defect == 0."""
     if len(t) != 3:
@@ -39,15 +33,6 @@ def is_markov(t) -> bool:
     x, y, z = t
     ok_types = all(isinstance(n, int) and n > 0 for n in (x, y, z))
     return ok_types and cubic_defect(x, y, z) == 0
-
-
-def is_kappa_triple(t) -> bool:
-    """True when t is a positive integer triple with kappa == 0."""
-    if len(t) != 3:
-        return False
-    a, b, c = t
-    ok_types = all(isinstance(n, int) and n > 0 for n in (a, b, c))
-    return ok_types and kappa(a, b, c) == 0
 
 
 def vieta_flip(t, position: int):
@@ -66,23 +51,6 @@ def vieta_flip(t, position: int):
     if position == 2:
         return (x, 3 * x * z - y, z)
     return (x, y, 3 * x * y - z)
-
-
-def kappa_flip(t, position: int):
-    """Replace coordinate ``position`` (1-based) by (product of the others) - it.
-
-    Same tree as vieta_flip after scaling by 3: kappa_flip(3t) == 3*vieta_flip(t).
-    """
-    if not is_kappa_triple(t):
-        raise NotMarkovError(f"not a zero of the kappa form: {t!r}")
-    if position not in (1, 2, 3):
-        raise OutOfRangeError(f"position must be 1, 2 or 3, got {position!r}")
-    a, b, c = t
-    if position == 1:
-        return (b * c - a, b, c)
-    if position == 2:
-        return (a, a * c - b, c)
-    return (a, b, a * b - c)
 
 
 class OrderedTriple(NamedTuple):

@@ -12,7 +12,12 @@ import sys
 
 import pytest
 
-from markovnorm import markov_numbers_up_to, stable_norm, verify_family
+from markovnorm import (
+    markov_numbers_up_to,
+    markov_of_slope_via_trace,
+    stable_norm,
+    verify_family,
+)
 from markovnorm.cli import main
 
 
@@ -51,6 +56,18 @@ def test_slope_boundary_labels(capsys):
     assert code == 0 and a["markov"] == "1" and a["christoffelWord"] == "a"
     code, b, _ = run_json(capsys, "slope", "1/1")
     assert code == 0 and b["markov"] == "2" and b["christoffelWord"] == "ab"
+
+
+def test_slope_prints_big_markov_numbers_in_full(capsys):
+    # m(7919/12345) has 7870 digits, past the default int-to-str limit of
+    # Python 3.11+; main lifts the limit for the command and restores it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, payload, _ = run_json(capsys, "slope", "7919/12345")
+    assert code == 0
+    assert len(payload["markov"]) == 7870
+    tail = markov_of_slope_via_trace(7919, 12345) % 10**20
+    assert payload["markov"][-20:] == f"{tail:020d}"
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_slope_rejects_unreduced(capsys):

@@ -144,13 +144,9 @@ def test_theorem1_certifies_real_cases():
 
 def test_theorem1_part3_requires_descending_room():
     # With p - i < 0 the diagonal comparison leaves the closed cone, so
-    # it is skipped by default and only runs when extension is requested.
+    # it is skipped by default and Inconclusive when requested.
     assert theorem1_check_real(3.0, 0.5, 2.0) is CheckResult.CERTIFIED
     assert theorem1_check_real(3.0, 0.5, 2.0, parts=(3,)) is CheckResult.INCONCLUSIVE
-    assert (
-        theorem1_check_real(3.0, 0.5, 2.0, parts=(3,), extend=True)
-        is CheckResult.CERTIFIED
-    )
 
 
 def test_theorem1_part3_rejects_p_at_or_above_q():

@@ -1,0 +1,40 @@
+"""Every name a package module imports is used in that module.
+
+A stdlib-only stand-in for a linter's unused-import rule.  ``__init__.py``
+is skipped because its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import markovnorm
+
+MODULES = sorted(p for p in Path(markovnorm.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+def test_checker_flags_an_unused_import():
+    assert unused_imports("import math\nimport sys\nsys.exit()\n") == ["math (line 1)"]
+    assert unused_imports("from typing import Iterator as It\nx: It\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -17,7 +17,6 @@ from markovnorm.intervals import (
     iv_acosh_of_logtrace,
     iv_add,
     iv_exp,
-    iv_from_int,
     iv_ln_int,
     iv_log1p,
     iv_mul,
@@ -122,16 +121,6 @@ def test_acosh_of_logtrace_composes(t):
         exact = mpmath.acosh(mpmath.mpf(t) / 2)
     assert contains(iv, exact)
     assert tight(iv, rel=1e-11)
-
-
-@given(st.integers(min_value=-(2**200), max_value=2**200))
-def test_from_int_contains_and_is_tight(n):
-    iv = iv_from_int(n)
-    assert contains(iv, Fraction(n))
-    if abs(n) < 2**53:
-        assert iv == (float(n), float(n))
-    else:
-        assert tight(iv, rel=1e-15)
 
 
 def test_width():

@@ -1,6 +1,7 @@
 """Tests for the stable norm: symmetry group, exact values, real extension."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -11,19 +12,18 @@ from markovnorm import (
     SYMMETRY_GROUP,
     AccuracyLimitError,
     NormInterval,
-    NotHyperbolicError,
     OutOfRangeError,
     PreconditionViolatedError,
     apply_symmetry,
     ball_boundary_sample,
     canonicalize,
-    length_from_trace,
     markov_of_slope,
     markov_of_slope_via_trace,
     norm_real,
     stable_norm,
     stable_norm_interval,
 )
+from markovnorm.norm import _iv_from_int_pow2
 
 int_vectors = st.tuples(
     st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
@@ -147,14 +147,16 @@ def test_stable_norm_beyond_float_range_raises():
                 fn(v)
 
 
-def test_length_from_trace():
-    with mpmath.workdps(40):
-        for t in (3, 6, 15, 39, 87, -3, -87):
-            expected = float(2 * mpmath.acosh(mpmath.mpf(abs(t)) / 2))
-            assert math.isclose(length_from_trace(t), expected, rel_tol=1e-14)
-    for t in (-2, -1, 0, 1, 2):
-        with pytest.raises(NotHyperbolicError):
-            length_from_trace(t)
+@given(st.integers(min_value=-(2**200), max_value=2**200), st.integers(-60, 60))
+def test_from_int_contains_and_is_tight(n, e):
+    lo, hi = _iv_from_int_pow2(n, e)
+    exact = n * Fraction(2) ** e
+    assert Fraction(lo) <= exact <= Fraction(hi)
+    if abs(n) < 2**53:
+        assert lo == hi
+    else:
+        # Truncation to 53 bits: the bounds are one unit of the 53rd bit apart.
+        assert hi - lo <= 2.0**-52 * abs(lo)
 
 
 def coprime_pairs(max_q, rng):

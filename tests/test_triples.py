@@ -17,10 +17,7 @@ from markovnorm import (
     children,
     cubic_defect,
     enumerate_tree,
-    is_kappa_triple,
     is_markov,
-    kappa,
-    kappa_flip,
     reduce_to_root,
     reduction_chain,
     vieta_flip,
@@ -59,20 +56,6 @@ def test_cubic_defect_nonzero_off_solutions():
     assert not is_markov((3, 4, 5))
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
-def test_kappa_matches_triple_scaling(x, y, z):
-    # kappa(3x,3y,3z) = 9*(x^2+y^2+z^2-3xyz), so trace triples 3*(x,y,z)
-    # are kappa-null exactly when (x,y,z) solves the cubic.
-    assert kappa(3 * x, 3 * y, 3 * z) == 9 * cubic_defect(x, y, z)
-
-
-def test_is_kappa_triple():
-    assert is_kappa_triple((3, 3, 3))
-    assert is_kappa_triple((3, 6, 15))
-    assert is_kappa_triple((6, 15, 87))
-    assert not is_kappa_triple((3, 3, 4))
-
-
 def test_is_markov_agrees_with_quadratic_search():
     solutions = set(oracles.brute_force_triples(60))
     for t in itertools.combinations_with_replacement(range(1, 61), 3):
@@ -86,14 +69,6 @@ def test_vieta_flip_is_an_involution(path):
         flipped = vieta_flip(t, pos)
         assert cubic_defect(*flipped) == 0
         assert vieta_flip(flipped, pos) == tuple(t)
-
-
-@given(tree_paths)
-def test_kappa_flip_tracks_vieta_flip(path):
-    t = walk(path)
-    scaled = tuple(3 * c for c in t)
-    for pos in (1, 2, 3):
-        assert kappa_flip(scaled, pos) == tuple(3 * c for c in vieta_flip(t, pos))
 
 
 def test_children_of_binary_root():
