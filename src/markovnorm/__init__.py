@@ -32,6 +32,7 @@ from .indexing import (
     GENERATORS,
     Slope,
     as_slope,
+    christoffel_matrix,
     christoffel_word,
     markov_of_slope,
     markov_of_slope_via_trace,

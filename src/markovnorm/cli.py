@@ -25,12 +25,12 @@ from .conjectures import (
 from .counting import fit_constant
 from .errors import AccuracyLimitError, PreconditionViolatedError
 from .indexing import (
+    christoffel_matrix,
     christoffel_word,
     markov_of_slope,
     mat_trace,
     parse_slope,
     stern_brocot_path,
-    word_matrix,
 )
 from .norm import ball_boundary_sample, norm_real, stable_norm, stable_norm_interval
 from .triples import enumerate_tree
@@ -56,7 +56,7 @@ def cmd_slope(args) -> int:
     else:
         path = stern_brocot_path(slope.p, slope.q)
         word = christoffel_word(slope.p, slope.q)
-    trace = mat_trace(word_matrix(word))
+    trace = mat_trace(christoffel_matrix(slope.p, slope.q))
     _emit(_json({
         "p": slope.p,
         "q": slope.q,

@@ -5,8 +5,13 @@ Two independent routes compute the Markov number m(p/q):
 * descend the Stern-Brocot tree of [0,1] keeping the triple of values at
   the interval endpoints and the mediant, with m(0/1)=1, m(1/1)=2,
   m(1/2)=5;
-* build the lower Christoffel word of slope p/q, multiply the generator
-  matrices it spells, and divide the trace by 3.
+* multiply the generator matrices spelled by the lower Christoffel word of
+  slope p/q and divide the trace by 3.
+
+Both walk the Stern-Brocot path to p/q one run of equal moves (one partial
+quotient) at a time.  A run keeps one endpoint fixed, so it is one 2x2
+matrix power: O(log k) big-int products for k moves.  The descent finds its
+runs by bracket comparisons, the trace route by Euclid's algorithm.
 
 They must agree everywhere; tests and the acceptance gate compare them.
 ``farey_walk`` is the one pruned depth-first walk of the Farey tree with
@@ -78,22 +83,39 @@ def stern_brocot_path(p: int, q: int) -> str:
 
 @lru_cache(maxsize=None)
 def markov_of_slope(p: int, q: int) -> int:
-    """Markov number of p/q by mediant descent with the endpoint-value triple."""
+    """Markov number of p/q by mediant descent with the endpoint-value triple.
+
+    A step moves an endpoint to the mediant, whose successor has value
+    m' = 3 * m_fixed * m - m_prev; a run of k such steps is one power of
+    [[0, 1], [-1, 3 * m_fixed]], so the cost is a power per partial quotient.
+    """
     p, q = as_slope(p, q)
-    if (p, q) == (0, 1):
-        return 1
-    if (p, q) == (1, 1):
-        return 2
-    # (left endpoint, right endpoint, mediant): fractions and their values.
-    lo, hi, med = (0, 1), (1, 1), (1, 2)
+    if q == 1:
+        return 1 + p  # m(0/1) = 1, m(1/1) = 2
+    # Bracket endpoints and the values of (left, right, mediant).
+    pl, ql, ph, qh = 0, 1, 1, 1
     m_lo, m_hi, m_med = 1, 2, 5
-    while med != (p, q):
-        if p * med[1] < med[0] * q:
-            hi, m_hi, m_med = med, m_med, 3 * m_lo * m_med - m_hi
-        else:
-            lo, m_lo, m_med = med, m_med, 3 * m_med * m_hi - m_lo
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-    return m_med
+    while True:
+        # q * ql * (p/q - lo) and q * qh * (hi - p/q); equal at the mediant.
+        above, below = p * ql - pl * q, ph * q - p * qh
+        if above == below:
+            return m_med
+        if below > above:  # a run of left moves: hi steps towards lo
+            k = (below - 1) // above
+            ph, qh = ph + k * pl, qh + k * ql
+            m_hi, m_med = _recurrence_run(m_lo, m_hi, m_med, k)
+        else:  # a run of right moves: lo steps towards hi
+            k = (above - 1) // below
+            pl, ql = pl + k * ph, ql + k * qh
+            m_lo, m_med = _recurrence_run(m_hi, m_lo, m_med, k)
+
+
+def _recurrence_run(fixed: int, prev: int, cur: int, k: int):
+    """(prev, cur) after k steps of (prev, cur) -> (cur, 3*fixed*cur - prev)."""
+    if k == 1:
+        return cur, 3 * fixed * cur - prev
+    a, b, c, d = _mat_pow((0, 1, -1, 3 * fixed), k)
+    return a * prev + b * cur, c * prev + d * cur
 
 
 def farey_walk(keep):
@@ -166,6 +188,18 @@ def mat_det(m) -> int:
     return m[0] * m[3] - m[1] * m[2]
 
 
+def _mat_pow(m, k: int):
+    """m**k for k >= 1 and det(m) = 1; squares as tr(M)*M - I (Cayley-Hamilton)."""
+    out = m
+    for bit in bin(k)[3:]:
+        a, b, c, d = out
+        t = a + d
+        out = (t * a - 1, t * b, t * c, t * d - 1)
+        if bit == "1":
+            out = mat_mul(out, m)
+    return out
+
+
 def word_matrix(word: str):
     """Product of the generator matrices spelled by ``word`` (letters a, b)."""
     out = IDENTITY
@@ -177,6 +211,27 @@ def word_matrix(word: str):
     return out
 
 
+def christoffel_matrix(p: int, q: int):
+    """word_matrix(christoffel_word(p, q)), by the Cohn factorisation.
+
+    W(lo+hi) = W(lo) W(hi) for Farey neighbours lo < hi.  From the bracket
+    (0/1, 1/0) with W = a, b, the runs to p/q = [0; a1, ..., an] are L**a1
+    R**a2 ..., each one power: W(hi) = W(lo)**k W(hi), W(lo) = W(lo) W(hi)**k.
+    """
+    p, q = as_slope(p, q)
+    w_lo, w_hi = GENERATORS["a"], GENERATORS["b"]
+    left = False
+    while p:
+        k, r = divmod(q, p)
+        left = not left
+        if left:
+            w_hi = mat_mul(_mat_pow(w_lo, k), w_hi)
+        else:
+            w_lo = mat_mul(w_lo, _mat_pow(w_hi, k))
+        p, q = r, p
+    return w_hi if left else w_lo
+
+
 def _trace_to_markov(trace: int) -> int:
     if trace % 3 != 0:
         raise InternalInconsistencyError(f"trace {trace} is not divisible by 3")
@@ -184,5 +239,9 @@ def _trace_to_markov(trace: int) -> int:
 
 
 def markov_of_slope_via_trace(p: int, q: int) -> int:
-    """Markov number of p/q as one third of the Christoffel word's trace."""
-    return _trace_to_markov(mat_trace(word_matrix(christoffel_word(p, q))))
+    """Markov number of p/q as one third of the Christoffel word's trace.
+
+    The matrix is ``christoffel_matrix``, one power of generator products
+    per partial quotient; no Markov recurrence or descent value enters.
+    """
+    return _trace_to_markov(mat_trace(christoffel_matrix(p, q)))

@@ -207,11 +207,11 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         return _finish(iv_acosh_half_int(3 * markov_of_slope(pd, qd)), g, -k, tol)
 
     # Farey sandwich.  State: bracket (vL, vR) with mediant vM, carrying the
-    # exact integer traces 3m (they stay a few hundred digits, since each
-    # bracket side is resolved within ~20 refinements); plus one known
-    # boundary point past each side, carrying its norm enclosure.  Keeping
-    # the traces exact pins every ln-trace enclosure at ~1 ulp, so interval
-    # widths do not accumulate along the descent.
+    # exact integer traces 3m (their growth is bounded only by _RUN_CAP and
+    # _SUBSTEP_CAP: along balanced paths they can reach millions of bits);
+    # plus one known boundary point past each side, carrying its norm
+    # enclosure.  Keeping the traces exact pins every ln-trace enclosure at
+    # ~1 ulp, so interval widths do not accumulate along the descent.
     cross = lambda v: qd * v[1] - pd * v[0]  # exact; > 0 iff v lies above d
     vL, tL, uL = (1, 0), 3, iv_ln_int(3)
     vR, tR, uR = (1, 1), 6, iv_ln_int(6)

@@ -12,6 +12,7 @@ from markovnorm import (
     count_lattice,
     count_triples,
     fit_constant,
+    markov_of_slope_via_trace,
 )
 
 
@@ -32,9 +33,13 @@ def test_count_triples_matches_quadratic_search(brute_1e4):
         assert count(10**4) == 21
 
 
-def test_count_lattice_agrees_with_count_triples():
+def test_count_lattice_counts_slopes():
+    # Every slope with q > 40 has m >= m(1/q) = F(2q+1) > 10**8, so counting
+    # the slopes with q <= 40 directly, by the trace route, is exhaustive.
+    values = [markov_of_slope_via_trace(p, q)
+              for q in range(1, 41) for p in range(q + 1) if math.gcd(p, q) == 1]
     for bound in (1, 2, 5, 13, 100, 10**4, 10**6, 10**8):
-        assert count_lattice(bound) == count_triples(bound)
+        assert count_lattice(bound) == sum(1 for m in values if m <= bound)
 
 
 @given(st.integers(1, 10**6), st.integers(0, 10**6))

@@ -5,12 +5,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import markovnorm.indexing
 import oracles
 from markovnorm import (
     GENERATORS,
     OutOfRangeError,
     PreconditionViolatedError,
     Slope,
+    christoffel_matrix,
     christoffel_word,
     markov_of_slope,
     markov_of_slope_via_trace,
@@ -47,16 +49,16 @@ def test_anchor_values_both_routes():
 
 
 def test_fibonacci_family():
-    # Slopes 1/j index every second Fibonacci number.
-    for j in range(1, 16):
+    # Slopes 1/j index every second Fibonacci number: one run of length j.
+    for j in range(1, 2001):
         expected = oracles.fibonacci(2 * j + 1)
         assert markov_of_slope(1, j) == expected
         assert markov_of_slope_via_trace(1, j) == expected
 
 
 def test_pell_family():
-    # Slopes j/(j+1) index every second Pell number.
-    for j in range(1, 13):
+    # Slopes j/(j+1) index every second Pell number: one run of length j.
+    for j in range(1, 2001):
         expected = oracles.pell(2 * j + 1)
         assert markov_of_slope(j, j + 1) == expected
         assert markov_of_slope_via_trace(j, j + 1) == expected
@@ -65,6 +67,45 @@ def test_pell_family():
 def test_routes_agree_up_to_q30():
     for p, q in coprime_slopes(30):
         assert markov_of_slope(p, q) == markov_of_slope_via_trace(p, q)
+
+
+def test_routes_agree_on_long_runs():
+    # 2/q and (q-2)/q: a run of about q/2 moves next to a run of one or two.
+    for q in range(3, 1000, 2):
+        for p in (2, q - 2):
+            assert markov_of_slope(p, q) == markov_of_slope_via_trace(p, q)
+
+
+@given(st.integers(1, 10**4), st.integers(0, 10**4))
+def test_routes_agree_on_random_slopes(q, p):
+    p %= q + 1
+    g = math.gcd(p, q)
+    assert markov_of_slope(p // g, q // g) == markov_of_slope_via_trace(p // g, q // g)
+
+
+def test_christoffel_matrix_is_the_word_product():
+    # The run-length Cohn product against the letter-by-letter oracle.
+    for p, q in coprime_slopes(60):
+        assert christoffel_matrix(p, q) == word_matrix(christoffel_word(p, q))
+
+
+def test_trace_route_uses_no_descent(monkeypatch):
+    expected = markov_of_slope(7919, 12345)
+
+    def forbidden(*args):
+        raise AssertionError("the trace route must not use the descent")
+
+    monkeypatch.setattr(markovnorm.indexing, "markov_of_slope", forbidden)
+    monkeypatch.setattr(markovnorm.indexing, "_recurrence_run", forbidden)
+    assert markov_of_slope_via_trace(7919, 12345) == expected
+    assert markov_of_slope_via_trace(1, 500) == oracles.fibonacci(1001)
+
+
+def test_descent_cache_counts_hits():
+    markov_of_slope.cache_clear()
+    assert markov_of_slope(3, 7) == markov_of_slope(3, 7) == 2897
+    info = markov_of_slope.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_small_values():
