@@ -6,7 +6,8 @@ strings so no value ever passes through floating point on an output path.
 Wall-clock time goes to stderr only, keeping the data byte-reproducible.
 
 Exit codes: 0 success / property verified, 1 mathematical violation or
-failed certification, 2 usage error.
+failed certification (AccuracyLimitError, its reason on stderr), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def cmd_norm(args) -> int:
             payload.update(lo=ex.interval.lo, hi=ex.interval.hi,
                            width=ex.interval.width)
         _emit(_json(payload), args.out)
-        return 1
+        raise  # main reports the reason and exits 1
     payload.update(lo=enc.lo, hi=enc.hi, width=enc.width)
     _emit(_json(payload), args.out)
     return 0
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
     except ValueError as ex:  # every package error for bad input is one
         print(f"markovnorm: error: {ex}", file=sys.stderr)
         return 2
+    except AccuracyLimitError as ex:
+        print(f"markovnorm: {ex}", file=sys.stderr)
+        return 1
     finally:
         if max_digits:
             sys.set_int_max_str_digits(max_digits)

@@ -121,10 +121,14 @@ def stable_norm(v) -> float:
 def stable_norm_interval(v) -> NormInterval:
     """Certified enclosure of the stable norm of a nonzero integer vector.
 
-    Raises AccuracyLimitError when the enclosure exceeds the float range.
+    Raises AccuracyLimitError when the enclosure exceeds the float range, or
+    when the reduced denominator exceeds 2**18: m(1/q) alone has ~1.4 q bits.
     """
     (cq, cp), _ = canonicalize(v)
     g = gcd(cq, cp)
+    if cq // g > 1 << 18:
+        raise AccuracyLimitError(f"reduced denominator {cq // g} > 2**18: use the real-"
+                                 "point route (norm_real; norm x y without --exact)")
     m = markov_of_slope(cp // g, cq // g)
     try:
         enc = iv_mul(_iv_from_int_pow2(g, 0), iv_acosh_half_int(3 * m))
@@ -156,8 +160,7 @@ def _iv_from_int_pow2(n: int, e: int):
 
 
 _EXACT_DENOMINATOR_CUTOFF = 512
-_RUN_CAP = 64
-_SUBSTEP_CAP = 200_000
+_TRACE_BITS = 4096  # norm_real's bound on the bit length of an exact trace
 
 
 def _dyadic_direction(x: float, y: float):
@@ -168,7 +171,7 @@ def _dyadic_direction(x: float, y: float):
     return nx * ((1 << k) // dx), ny * ((1 << k) // dy), k
 
 
-def _finish(enc_dir, g: int, e: int, tol: float):
+def _finish(enc_dir, g: int, e: int, tol: float, reason: str):
     """Scale a direction enclosure by g * 2**e and enforce the tolerance."""
     try:
         enc = iv_mul(enc_dir, _iv_from_int_pow2(g, e))
@@ -178,7 +181,7 @@ def _finish(enc_dir, g: int, e: int, tol: float):
     if out.width <= tol:
         return out
     raise AccuracyLimitError(
-        f"could not certify width {out.width:.3e} <= tol {tol:.3e}", interval=out
+        f"{reason}; width {out.width:.3g} > tol {tol:.3g}", interval=out
     )
 
 
@@ -187,9 +190,11 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
 
     tol is absolute and must be >= 1e-12.  Exact rational directions with
     small denominator short-circuit to the exact Markov number; all others
-    are sandwiched as described in the module docstring.  If the tolerance
-    is not reached within 64 bracket refinements an AccuracyLimitError is
-    raised carrying the best enclosure computed so far.
+    are sandwiched as described in the module docstring.  The descent stops
+    when a mediant's exact trace passes _TRACE_BITS bits ("trace bound") or
+    when twelve bound checks in a row fail to narrow the enclosure ("width
+    floor").  A missed tolerance raises AccuracyLimitError carrying the best
+    enclosure computed so far, its message naming the exit and its counters.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise PreconditionViolatedError("coordinates must be finite")
@@ -204,14 +209,15 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     qd, pd = cq // g, cp // g
 
     if qd <= _EXACT_DENOMINATOR_CUTOFF:
-        return _finish(iv_acosh_half_int(3 * markov_of_slope(pd, qd)), g, -k, tol)
+        enc = iv_acosh_half_int(3 * markov_of_slope(pd, qd))
+        return _finish(enc, g, -k, tol, "exact direction")
 
     # Farey sandwich.  State: bracket (vL, vR) with mediant vM, carrying the
-    # exact integer traces 3m (their growth is bounded only by _RUN_CAP and
-    # _SUBSTEP_CAP: along balanced paths they can reach millions of bits);
-    # plus one known boundary point past each side, carrying its norm
-    # enclosure.  Keeping the traces exact pins every ln-trace enclosure at
-    # ~1 ulp, so interval widths do not accumulate along the descent.
+    # exact integer traces 3m, plus one known boundary point past each side,
+    # carrying its norm enclosure.  Exact traces pin every ln-trace enclosure
+    # at ~1 ulp, so widths do not accumulate along the descent.  Each substep
+    # more than doubles the trace (t' = t_fixed t - t_out, t_fixed >= 3), so
+    # _TRACE_BITS bounds both the substep count and the cost of a substep.
     cross = lambda v: qd * v[1] - pd * v[0]  # exact; > 0 iff v lies above d
     vL, tL, uL = (1, 0), 3, iv_ln_int(3)
     vR, tR, uR = (1, 1), 6, iv_ln_int(6)
@@ -221,8 +227,6 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     j = max(qd.bit_length() - 8, 0)
 
     best = (0.0, math.inf)
-    runs = 0
-    side = ""
     substeps = 0
     stalled = 0
 
@@ -249,45 +253,39 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         best = merged
         return improved
 
-    def give_up():
-        merge(bounds())
-        return _finish(best, g, j - k, tol)
-
     while True:
-        if substeps % 4 == 0 or side == "":
-            if merge(bounds()):
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= 12:  # width floor reached (e.g. ulp of the value)
-                    return _finish(best, g, j - k, tol)
+        if substeps % 4 == 0:
+            stalled = 0 if merge(bounds()) else stalled + 1
+            if stalled >= 12:  # e.g. the ulp of the value
+                reason = "width floor"
+                break
             if iv_width(best) <= _scaled_tol(tol, g, j - k):
-                return _finish(best, g, j - k, tol)
+                reason = "tolerance"
+                break
         c = cross(vM)
         if c == 0:
             enc = iv_acosh_of_logtrace(uM)
             merge((_DN(math.ldexp(enc[0], -j)), _UP(math.ldexp(enc[1], -j))))
-            return _finish(best, g, j - k, tol)
+            reason = "exact hit"
+            break
         if c > 0:  # mediant above the target: keep the left half
-            step = "L"
             t_new = tL * tM - tR
             out_r = (vR, iv_acosh_of_logtrace(uR))
             vR, tR, uR = vM, tM, uM
         else:
-            step = "R"
             t_new = tM * tR - tL
             out_l = (vL, iv_acosh_of_logtrace(uL))
             vL, tL, uL = vM, tM, uM
-        vM = (vL[0] + vR[0], vL[1] + vR[1])
-        tM, uM = t_new, iv_ln_int(t_new)
+        vM, tM = (vL[0] + vR[0], vL[1] + vR[1]), t_new
         substeps += 1
-        if step != side:
-            side = step
-            runs += 1
-            if runs > _RUN_CAP:
-                return give_up()
-        if substeps > _SUBSTEP_CAP:
-            return give_up()
+        if tM.bit_length() > _TRACE_BITS:
+            merge(bounds())
+            reason = "trace bound"
+            break
+        uM = iv_ln_int(tM)
+
+    counters = f"{substeps} substeps, {tM.bit_length()}-bit trace"
+    return _finish(best, g, j - k, tol, f"{reason}: {counters}")
 
 
 def _scaled_tol(tol: float, g: int, e: int) -> float:

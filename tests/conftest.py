@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 from hypothesis import settings
 
@@ -17,3 +20,24 @@ def table_60():
     from markovnorm import markov_table
 
     return markov_table(60)
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) bounds a block: past it, TimeoutError is raised
+    inside the block, so a regression to a hang fails instead of blocking."""
+
+    def expire(signum, frame):
+        raise TimeoutError("deadline passed")
+
+    @contextlib.contextmanager
+    def within(seconds):
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

@@ -136,6 +136,26 @@ def test_norm_accuracy_limit_exit_code(capsys):
     payload = json.loads(out)
     assert payload["error"] == "accuracy limit"
     assert payload["lo"] < payload["hi"]
+    assert err.startswith("markovnorm: width floor: ")
+
+
+def test_norm_exact_refuses_huge_denominators(capsys, deadline):
+    with deadline(5):
+        code, out, err = run(
+            capsys, "norm", "--exact", "123456789012345678901234567890", "3")
+    assert code == 1
+    assert json.loads(out) == {"error": "accuracy limit", "tol": 1e-9}
+    assert err.startswith("markovnorm: reduced denominator ")
+    assert "without --exact" in err and "Traceback" not in err
+
+
+def test_accuracy_limit_from_any_subcommand_exits_1(capsys):
+    witness = "1" + "0" * 400 + ",0"
+    code, out, err = run(
+        capsys, "ball", "--max-q", "2", "--format", "svg", "--witness", witness)
+    assert code == 1 and out == ""
+    assert err.startswith("markovnorm: norm exceeds float range\n")
+    assert "Traceback" not in err
 
 
 def test_norm_exact_beyond_float_range(capsys):

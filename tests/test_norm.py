@@ -1,6 +1,7 @@
 """Tests for the stable norm: symmetry group, exact values, real extension."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +24,7 @@ from markovnorm import (
     stable_norm,
     stable_norm_interval,
 )
-from markovnorm.norm import _iv_from_int_pow2
+from markovnorm.norm import _TRACE_BITS, _iv_from_int_pow2
 
 int_vectors = st.tuples(
     st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
@@ -138,6 +139,14 @@ def test_stable_norm_rejects_zero():
         stable_norm_interval((0, 0))
 
 
+def test_stable_norm_interval_refuses_huge_denominators(deadline):
+    # m(1/q) has about 1.4 q bits; past q = 2**18 the exact route refuses
+    # up front and points to the real-point route.
+    for v in [(2**18 + 1, 1), (123456789012345678901234567890, 3)]:
+        with deadline(5), pytest.raises(AccuracyLimitError, match="norm_real"):
+            stable_norm_interval(v)
+
+
 def test_stable_norm_beyond_float_range_raises():
     # 10**400 does not convert to a float; 1.5e308 does, but its norm
     # 1.5e308 * arccosh(3) does not.
@@ -242,13 +251,40 @@ def test_norm_real_input_validation():
 def test_norm_real_accuracy_limit_carries_payload():
     # An absolute tolerance far below the value's own rounding floor is
     # unreachable; the failure must still report a valid enclosure.
-    with pytest.raises(AccuracyLimitError) as info:
+    with pytest.raises(AccuracyLimitError, match="^exact direction;") as info:
         norm_real(1e15, 7e14, tol=1e-12)
     payload = info.value.interval
     assert isinstance(payload, NormInterval)
     exact = reference_norm(10, 7) * 10**14
     assert mpmath.mpf(payload.lo) <= exact <= mpmath.mpf(payload.hi)
     assert payload.hi - payload.lo <= 1e-12 * payload.hi
+
+
+def _exit_counters(message: str, reason: str):
+    found = re.match(rf"{reason}: (\d+) substeps, (\d+)-bit trace; width ", message)
+    assert found, message
+    return int(found[1]), int(found[2])
+
+
+def test_norm_real_trace_bound_exit(deadline):
+    # Along this balanced path the exact traces double at every substep;
+    # without a bound on their size the descent never returned.
+    with deadline(5), pytest.raises(AccuracyLimitError) as info:
+        norm_real(870.319518530656, 857.9951066621662, tol=1e-12)
+    substeps, bits = _exit_counters(str(info.value), "trace bound")
+    assert bits > _TRACE_BITS and substeps < _TRACE_BITS
+    payload = info.value.interval
+    assert 1e-12 < payload.width < 1e-10 and payload.lo > 1500.0
+
+
+def test_norm_real_width_floor_exit():
+    # Near the axis the sandwich stops narrowing long before tol = 0.1 on a
+    # value of 1e15; twelve checks without progress end the descent.
+    with pytest.raises(AccuracyLimitError) as info:
+        norm_real(1e15, 1.0, tol=0.1)
+    substeps, bits = _exit_counters(str(info.value), "width floor")
+    assert substeps <= 60 and bits <= _TRACE_BITS
+    assert info.value.interval.lo > 9e14
 
 
 def test_norm_interval_properties():
