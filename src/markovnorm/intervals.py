@@ -78,35 +78,39 @@ def iv_ln_int(n: int):
 
 
 def iv_acosh_half_int(n: int):
-    """Enclosure of arccosh(n/2) for an integer n >= 3.
-
-    Uses arccosh(n/2) = ln(n + sqrt(n^2 - 4)) - ln 2 with an integer
-    square root scaled by 2**64 so the sqrt contributes ~1e-19 slack.
-    """
+    """Enclosure of arccosh(n/2) for an integer n >= 3."""
     if n < 3:
         raise ValueError("iv_acosh_half_int needs n >= 3")
-    shift = 64
-    s = math.isqrt((n * n - 4) << (2 * shift))
-    arg_lo = (n << shift) + s
-    inner_lo = iv_ln_int(arg_lo)
-    inner_hi = iv_ln_int(arg_lo + 1)
-    scale = _up((shift + 1) * LN2[1]), _dn((shift + 1) * LN2[0])
-    return (_dn(inner_lo[0] - scale[0]), _up(inner_hi[1] - scale[1]))
+    return iv_acosh_of_logtrace(iv_ln_int(n))
+
+
+def iv_ln_ratio(a: int, b: int):
+    """Enclosure of ln(a / b) for integers a >= b > 0 of any size."""
+    if not a >= b > 0:
+        raise ValueError("iv_ln_ratio needs a >= b > 0")
+    e = a.bit_length() - b.bit_length() - 52
+    q = (a >> e) // b if e > 0 else (a << -e) // b  # a/b in [q, q+1) * 2**e
+    if e > 0:  # ln(a / b) > 36, so adding e ln 2 costs no relative accuracy
+        return (_dn(_ln_small_dn(q) + _dn(e * LN2[0])),
+                _up(_ln_small_up(q + 1) + _up(e * LN2[1])))
+    return (_dn(_dn(math.log(math.ldexp(q, e)))), _up(_up(math.log(math.ldexp(q + 1, e)))))
 
 
 def iv_acosh_of_logtrace(u):
-    """Enclosure of arccosh(t/2) given an enclosure u of ln t, t >= 3.
+    """Enclosure of arccosh(t/2) given an enclosure u of ln t, t >= 3."""
+    return iv_add(u, iv_acosh_minus_log(u))
 
-    arccosh(t/2) = u - ln 2 + ln(1 + sqrt(1 - 4 e^{-2u})), and the inner
-    root stays in [sqrt(5)/3, 1] so every step is well conditioned.
-    """
+
+def iv_acosh_minus_log(u):
+    """Enclosure of arccosh(t/2) - ln t = ln(1 + sqrt(1 - 4 e^{-2u})) - ln 2
+    given an enclosure u of ln t, t >= 3.  The root stays in [sqrt(5)/3, 1],
+    so the enclosure is a few ulp of 1 wide for any t."""
     four = (4.0, 4.0)
     e = iv_exp(iv_mul((-2.0, -2.0), u))
     inner = iv_sub((1.0, 1.0), iv_mul(four, e))
     if inner[0] < 0.0:
         inner = (0.0, inner[1])
-    s = iv_sqrt(inner)
-    return iv_add(iv_sub(u, LN2), iv_log1p(s))
+    return iv_sub(iv_log1p(iv_sqrt(inner)), LN2)
 
 
 def iv_width(a) -> float:

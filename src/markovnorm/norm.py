@@ -5,12 +5,13 @@ norm is arccosh(3 m(p/q) / 2); it extends by homogeneity, by the order-12
 symmetry group of the norm ball, and by convexity to the whole plane.
 
 Real directions are evaluated by sandwiching: descend the Farey tree towards
-the direction, keep the bracketing boundary points of the unit ball plus one
-known point beyond each side, and trap the value between the crossing of the
-inner chord (an upper bound, since chords of a convex ball lie inside it)
-and the crossings of the two outer secants (lower bounds).  Every float step
-uses outward-rounded interval arithmetic, and all lattice cross products are
-exact integers, so the returned interval is a certified enclosure.
+the direction one Stern-Brocot run at a time, keep the bracketing boundary
+points of the unit ball plus one known point beyond each side, and trap the
+value between the crossing of the inner chord (an upper bound, since chords
+of a convex ball lie inside it) and the crossings of the two outer secants
+(lower bounds).  Every float step uses outward-rounded interval arithmetic,
+and all lattice cross products are exact integers, so the returned interval
+is a certified enclosure.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .indexing import markov_of_slope, mat_mul
+from .indexing import _recurrence_run, markov_of_slope, mat_mul
 from .intervals import (
     iv_acosh_half_int,
-    iv_acosh_of_logtrace,
+    iv_acosh_minus_log,
     iv_add,
     iv_ln_int,
+    iv_ln_ratio,
     iv_mul,
     iv_sub,
     iv_width,
@@ -190,11 +192,11 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
 
     tol is absolute and must be >= 1e-12.  Exact rational directions with
     small denominator short-circuit to the exact Markov number; all others
-    are sandwiched as described in the module docstring.  The descent stops
-    when a mediant's exact trace passes _TRACE_BITS bits ("trace bound") or
-    when twelve bound checks in a row fail to narrow the enclosure ("width
-    floor").  A missed tolerance raises AccuracyLimitError carrying the best
-    enclosure computed so far, its message naming the exit and its counters.
+    are sandwiched as described in the module docstring.  The descent gives
+    up only when the next substep could build an exact trace of more than
+    _TRACE_BITS bits ("trace bound").  A missed tolerance raises
+    AccuracyLimitError carrying the best enclosure computed so far, its
+    message naming the exit and its counters.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise PreconditionViolatedError("coordinates must be finite")
@@ -212,91 +214,85 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         enc = iv_acosh_half_int(3 * markov_of_slope(pd, qd))
         return _finish(enc, g, -k, tol, "exact direction")
 
-    # Farey sandwich.  State: bracket (vL, vR) with mediant vM, carrying the
-    # exact integer traces 3m, plus one known boundary point past each side,
-    # carrying its norm enclosure.  Exact traces pin every ln-trace enclosure
-    # at ~1 ulp, so widths do not accumulate along the descent.  Each substep
-    # more than doubles the trace (t' = t_fixed t - t_out, t_fixed >= 3), so
-    # _TRACE_BITS bounds both the substep count and the cost of a substep.
-    cross = lambda v: qd * v[1] - pd * v[0]  # exact; > 0 iff v lies above d
-    vL, tL, uL = (1, 0), 3, iv_ln_int(3)
-    vR, tR, uR = (1, 1), 6, iv_ln_int(6)
-    vM, tM, uM = (2, 1), 15, iv_ln_int(15)
-    out_l = ((1, -1), iv_acosh_half_int(3))
-    out_r = ((1, 2), iv_acosh_half_int(15))
+    # Farey sandwich.  Each bracket end L, R carries (c, m, N, h): c = qd p -
+    # pd q, the exact cross product of its vector (q, p) with the direction
+    # (< 0 below, > 0 above), m, its norm enclosure N, and h = N - ln 3m.  Each
+    # side also carries (|c(O)| - |c|, N - N(O)) for the known boundary point O
+    # one step further out.  N - N(O) comes from the exact trace ratio, so the
+    # outer-secant lower bound, a sum of two positive terms, stays a few ulp
+    # wide along any run.  Runs go in chunks of 4, 8, 16, ... substeps, one
+    # _recurrence_run power each, and the bounds are checked after every chunk.
+    # A substep multiplies the mediant's trace 3m by less than the fixed end's
+    # trace, so each chunk stops short of a trace past _TRACE_BITS bits.
+    (n3, h3), (n6, h6), (n15, _) = _START
+    ends = [(-pd, 1, n3, h3), (qd - pd, 2, n6, h6)]
+    outs = [(qd, (0.0, 0.0)), (qd, iv_sub(n6, n15))]  # O = (1, -1) and (1, 2)
+    m_med = 5
     j = max(qd.bit_length() - 8, 0)
+    try:  # a conservative tolerance for the unscaled direction enclosure
+        scale = _iv_from_int_pow2(g, j - k)[1]
+    except OverflowError:
+        scale = math.inf
+    scaled_tol = 0.9 * tol / scale if 0.0 < scale < math.inf else 0.0
 
     best = (0.0, math.inf)
-    substeps = 0
-    stalled = 0
-
-    def bounds():
-        n1 = iv_acosh_of_logtrace(uL)
-        n2 = iv_acosh_of_logtrace(uR)
-        a1 = _iv_from_int_pow2(-cross(vL), -j)
-        a2 = _iv_from_int_pow2(cross(vR), -j)
-        upper = iv_add(iv_mul(a2, n1), iv_mul(a1, n2))
-        v0, n0 = out_l
-        a0 = _iv_from_int_pow2(-cross(v0), -j)
-        low_l = iv_sub(iv_mul(a0, n1), iv_mul(a1, n0))
-        v3, n3 = out_r
-        a3 = _iv_from_int_pow2(cross(v3), -j)
-        low_r = iv_sub(iv_mul(a3, n2), iv_mul(a2, n3))
-        return (max(low_l[0], low_r[0], 0.0), upper[1])
+    substeps = run = 0
 
     def merge(enc):
         nonlocal best
-        merged = (max(best[0], enc[0]), min(best[1], enc[1]))
-        if merged[0] > merged[1]:
+        best = (max(best[0], enc[0]), min(best[1], enc[1]))
+        if best[0] > best[1]:
             raise InternalInconsistencyError("sandwich enclosures disagree")
-        improved = merged[1] - merged[0] < best[1] - best[0]
-        best = merged
-        return improved
 
     while True:
-        if substeps % 4 == 0:
-            stalled = 0 if merge(bounds()) else stalled + 1
-            if stalled >= 12:  # e.g. the ulp of the value
-                reason = "width floor"
-                break
-            if iv_width(best) <= _scaled_tol(tol, g, j - k):
-                reason = "tolerance"
-                break
-        c = cross(vM)
-        if c == 0:
-            enc = iv_acosh_of_logtrace(uM)
-            merge((_DN(math.ldexp(enc[0], -j)), _UP(math.ldexp(enc[1], -j))))
-            reason = "exact hit"
+        (cl, _, nl, _), (cr, _, nr, _) = ends
+        (el, dl), (er, dr) = outs
+        al, ar, bl, br = (_iv_from_int_pow2(c, -j) for c in (-cl, cr, el, er))
+        upper = iv_add(iv_mul(ar, nl), iv_mul(al, nr))
+        low_l = iv_add(iv_mul(bl, nl), iv_mul(al, dl))
+        low_r = iv_add(iv_mul(br, nr), iv_mul(ar, dr))
+        merge((max(low_l[0], low_r[0], 0.0), upper[1]))
+        if iv_width(best) <= scaled_tol:
+            reason = "tolerance"
             break
-        if c > 0:  # mediant above the target: keep the left half
-            t_new = tL * tM - tR
-            out_r = (vR, iv_acosh_of_logtrace(uR))
-            vR, tR, uR = vM, tM, uM
-        else:
-            t_new = tM * tR - tL
-            out_l = (vL, iv_acosh_of_logtrace(uL))
-            vL, tL, uL = vM, tM, uM
-        vM, tM = (vL[0] + vR[0], vL[1] + vR[1]), t_new
-        substeps += 1
-        if tM.bit_length() > _TRACE_BITS:
-            merge(bounds())
+        if not run:  # a new run: the side that moves and its length
+            if cr == -cl:
+                merge(iv_mul(iv_acosh_half_int(3 * m_med), _iv_from_int_pow2(1, -j)))
+                reason = "exact hit"
+                break
+            side = int(cr > -cl)  # 1: the mediant lies above, so R moves
+            run = (max(cr, -cl) - 1) // min(cr, -cl)
+            size = 4
+        (cs, ms, _, hs), (cf, mf, _, _) = ends[side], ends[1 - side]
+        room = (_TRACE_BITS - (3 * m_med).bit_length()) // (3 * mf).bit_length()
+        n = min(size, run, room)
+        if n == 0:
             reason = "trace bound"
             break
-        uM = iv_ln_int(tM)
+        m1, m_med = _recurrence_run(mf, ms, m_med, n)
+        m0, h0 = ms, hs  # O: the end before the last substep
+        if n > 1:
+            m0 = 3 * mf * m1 - m_med
+            h0 = _norm_parts(3 * m0)[1]
+        n1, h1 = _norm_parts(3 * m1)
+        ends[side] = (cs + n * cf, m1, n1, h1)
+        outs[side] = (abs(cf), iv_add(iv_ln_ratio(m1, m0), iv_sub(h1, h0)))
+        substeps += n
+        run -= n
+        size *= 2
 
-    counters = f"{substeps} substeps, {tM.bit_length()}-bit trace"
+    counters = f"{substeps} substeps, {(3 * m_med).bit_length()}-bit trace"
     return _finish(best, g, j - k, tol, f"{reason}: {counters}")
 
 
-def _scaled_tol(tol: float, g: int, e: int) -> float:
-    """Conservative tolerance for the unscaled direction enclosure."""
-    try:
-        s = _iv_from_int_pow2(g, e)[1]
-    except OverflowError:
-        return 0.0
-    if s == 0.0 or math.isinf(s):
-        return 0.0
-    return 0.9 * tol / s
+def _norm_parts(t: int):
+    """Enclosures of arccosh(t/2) and of arccosh(t/2) - ln t, for t >= 3."""
+    u = iv_ln_int(t)
+    h = iv_acosh_minus_log(u)
+    return iv_add(u, h), h
+
+
+_START = [_norm_parts(t) for t in (3, 6, 15)]  # at (1, 0), (1, 1) and (1, 2)
 
 
 def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:

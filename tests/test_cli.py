@@ -130,13 +130,14 @@ def test_norm_exact_and_float_agree(capsys):
     assert approx["hi"] - approx["lo"] <= 1e-10
 
 
-def test_norm_accuracy_limit_exit_code(capsys):
-    code, out, err = run(capsys, "norm", "1e300", "1.0")
+def test_norm_accuracy_limit_exit_code(capsys, deadline):
+    with deadline(5):
+        code, out, err = run(capsys, "norm", "1e300", "1.0")
     assert code == 1
     payload = json.loads(out)
     assert payload["error"] == "accuracy limit"
     assert payload["lo"] < payload["hi"]
-    assert err.startswith("markovnorm: width floor: ")
+    assert err.startswith("markovnorm: trace bound: ")
 
 
 def test_norm_exact_refuses_huge_denominators(capsys, deadline):

@@ -9,15 +9,18 @@ import math
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from markovnorm.intervals import (
     iv_acosh_half_int,
+    iv_acosh_minus_log,
     iv_acosh_of_logtrace,
     iv_add,
     iv_exp,
     iv_ln_int,
+    iv_ln_ratio,
     iv_log1p,
     iv_mul,
     iv_sqrt,
@@ -110,7 +113,7 @@ def test_acosh_half_int_anchor():
     with mpmath.workdps(50):
         phi = (1 + mpmath.sqrt(mpmath.mpf(5))) / 2
         assert mpmath.mpf(lo) <= 2 * mpmath.ln(phi) <= mpmath.mpf(hi)
-    assert hi - lo <= 1e-13
+    assert hi - lo <= 32 * math.ulp(lo)
     assert math.isclose((lo + hi) / 2, 0.9624236501192069, rel_tol=1e-13)
 
 
@@ -121,6 +124,35 @@ def test_acosh_of_logtrace_composes(t):
         exact = mpmath.acosh(mpmath.mpf(t) / 2)
     assert contains(iv, exact)
     assert tight(iv, rel=1e-11)
+
+
+@given(st.integers(min_value=1, max_value=10**400),
+       st.integers(min_value=0, max_value=10**400))
+def test_ln_ratio_contains_exact(b, d):
+    a = b + d
+    iv = iv_ln_ratio(a, b)
+    with mpmath.workdps(900):
+        exact = mpmath.log(mpmath.mpf(a) / mpmath.mpf(b))
+    assert contains(iv, exact)
+    if a >= 2 * b:
+        # A few ulp of the ratio's log, even where ln a and ln b alone are
+        # hundreds of times larger.
+        assert iv[1] - iv[0] <= 4e-15 * iv[0]
+
+
+@given(st.integers(min_value=3, max_value=10**300))
+def test_acosh_minus_log_is_a_few_ulp_of_one_wide(t):
+    iv = iv_acosh_minus_log(iv_ln_int(t))
+    with mpmath.workdps(len(str(t)) + 40):
+        exact = mpmath.acosh(mpmath.mpf(t) / 2) - mpmath.log(t)
+    assert contains(iv, exact)
+    assert iv[1] - iv[0] <= 4e-15
+
+
+def test_ln_ratio_requires_a_ratio_of_at_least_one():
+    for a, b in [(1, 2), (0, 1), (1, 0)]:
+        with pytest.raises(ValueError):
+            iv_ln_ratio(a, b)
 
 
 def test_width():

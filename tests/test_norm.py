@@ -180,11 +180,14 @@ def test_norm_real_matches_rational_reference():
     import random
 
     rng = random.Random(7)
-    for _ in range(40):
-        q, p = coprime_pairs(900, rng)
+    points = [coprime_pairs(900, rng) for _ in range(40)]
+    # Past the exact-direction cutoff of 512 these directions take long runs
+    # at one end of the Stern-Brocot path.
+    points += [(q, p) for q in range(513, 2048) for p in (1, 2, q - 2, q - 1)]
+    for q, p in points:
         iv = norm_real(float(q), float(p), tol=1e-10)
         exact = reference_norm(q, p)
-        assert mpmath.mpf(iv.lo) <= exact <= mpmath.mpf(iv.hi)
+        assert mpmath.mpf(iv.lo) <= exact <= mpmath.mpf(iv.hi), (q, p)
         assert iv.hi - iv.lo <= 1e-10
 
 
@@ -272,19 +275,40 @@ def test_norm_real_trace_bound_exit(deadline):
     with deadline(5), pytest.raises(AccuracyLimitError) as info:
         norm_real(870.319518530656, 857.9951066621662, tol=1e-12)
     substeps, bits = _exit_counters(str(info.value), "trace bound")
-    assert bits > _TRACE_BITS and substeps < _TRACE_BITS
+    assert bits <= _TRACE_BITS and substeps < _TRACE_BITS
     payload = info.value.interval
     assert 1e-12 < payload.width < 1e-10 and payload.lo > 1500.0
 
 
-def test_norm_real_width_floor_exit():
-    # Near the axis the sandwich stops narrowing long before tol = 0.1 on a
-    # value of 1e15; twelve checks without progress end the descent.
-    with pytest.raises(AccuracyLimitError) as info:
+def test_norm_real_unreachable_tol_exits_at_trace_bound(deadline):
+    # tol = 0.1 is below the ulp of a value near 1e15, so no descent can meet
+    # it; along the axis the traces grow slowest, and the bound still ends
+    # the walk at once.
+    with deadline(5), pytest.raises(AccuracyLimitError) as info:
         norm_real(1e15, 1.0, tol=0.1)
-    substeps, bits = _exit_counters(str(info.value), "width floor")
-    assert substeps <= 60 and bits <= _TRACE_BITS
+    _, bits = _exit_counters(str(info.value), "trace bound")
+    assert bits <= _TRACE_BITS
     assert info.value.interval.lo > 9e14
+
+
+@pytest.mark.parametrize("x, y", [
+    # Points where the enclosure narrows slowly for many checks in a row
+    # before it reaches the tolerance.
+    (-52.944693615019105, -52.71821236313424),
+    (58.402155658509116, -29.085428275966624),
+    (-41.547292298262164, -0.14409430298017867),
+    # Points inside long runs.  Were N - N(O) taken as the difference of two
+    # norm enclosures, the outer-secant rounding would grow along the run
+    # and the narrowest enclosure would come early, between chunk checks.
+    (22.033435975606608, -4.405641719139027),
+    (35.26320495339756, 21.157301109527367),
+    (-47.36789738563079, -15.784498631045103),
+])
+def test_norm_real_certifies_at_the_smallest_tol(x, y):
+    iv = norm_real(x, y, tol=1e-12)
+    assert iv.hi - iv.lo <= 1e-12
+    loose = norm_real(x, y, tol=1e-6)
+    assert loose.lo <= iv.lo <= iv.hi <= loose.hi
 
 
 def test_norm_interval_properties():
