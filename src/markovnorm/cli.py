@@ -50,20 +50,14 @@ def _json(payload) -> str:
 
 def cmd_slope(args) -> int:
     slope = parse_slope(args.fraction)
-    if slope == (0, 1):
-        path, word = "", "a"
-    elif slope == (1, 1):
-        path, word = "", "ab"
-    else:
-        path = stern_brocot_path(slope.p, slope.q)
-        word = christoffel_word(slope.p, slope.q)
+    path = "" if slope.q == 1 else stern_brocot_path(slope.p, slope.q)
     trace = mat_trace(christoffel_matrix(slope.p, slope.q))
     _emit(_json({
         "p": slope.p,
         "q": slope.q,
         "markov": str(markov_of_slope(slope.p, slope.q)),
         "path": path,
-        "christoffelWord": word,
+        "christoffelWord": christoffel_word(slope.p, slope.q),
         "trace": str(trace),
         "stableNorm": stable_norm((slope.q, slope.p)),
     }), args.out)

@@ -18,9 +18,14 @@ class PreconditionViolatedError(ValueError):
 
 
 class AccuracyLimitError(RuntimeError):
-    """Requested tolerance was not reached within the iteration cap.
+    """A certified value could not be delivered as asked.
 
-    The best certified enclosure computed so far is attached as ``interval``.
+    Raised when an enclosure misses the requested tolerance at a named exit
+    (``norm_real``'s trace bound, exact hit or tolerance check, or an exact
+    direction), when a value leaves the float range, and when
+    ``stable_norm_interval`` refuses a reduced denominator above 2**18.  The
+    best certified enclosure computed so far, if any, is attached as
+    ``interval``.
     """
 
     def __init__(self, message, interval=None):

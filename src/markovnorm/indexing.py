@@ -10,8 +10,9 @@ Two independent routes compute the Markov number m(p/q):
 
 Both walk the Stern-Brocot path to p/q one run of equal moves (one partial
 quotient) at a time.  A run keeps one endpoint fixed, so it is one 2x2
-matrix power: O(log k) big-int products for k moves.  The descent finds its
-runs by bracket comparisons, the trace route by Euclid's algorithm.
+matrix power: O(log k) big-int products for k moves.  The descent takes its
+runs from ``_runs``, which ``stern_brocot_path`` and the norm sandwich share;
+the trace route finds its own by Euclid's algorithm.
 
 They must agree everywhere; tests and the acceptance gate compare them.
 ``farey_walk`` is the one pruned depth-first walk of the Farey tree with
@@ -65,20 +66,30 @@ def stern_brocot_path(p: int, q: int) -> str:
     The boundary fractions 0/1 and 1/1 label no tree node.
     """
     p, q = as_slope(p, q)
-    if (p, q) in ((0, 1), (1, 1)):
+    if q == 1:
         raise OutOfRangeError(f"{p}/{q} is a boundary label, not a tree node")
-    lo, hi = (0, 1), (1, 1)
-    word = []
-    while True:
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        if (p, q) == med:
-            return "".join(word)
-        if p * med[1] < med[0] * q:
-            word.append("L")
-            hi = med
+    return "".join("RL"[side] * k for side, k in _runs(p, q))
+
+
+def _runs(p: int, q: int):
+    """Runs of the Stern-Brocot path from 1/2 to p/q, for 0 < p < q.
+
+    Yields (side, k): k moves of the lower end (side 0, letters R) or of the
+    upper end (side 1, letters L) towards the other.  For the bracket
+    pl/ql < p/q < ph/qh, above = q * ql * (p/q - pl/ql) and below =
+    q * qh * (ph/qh - p/q); a move of one end takes the other's value off its
+    own, and the two are equal when p/q is the mediant.
+    """
+    above, below = p, q - p
+    while above != below:
+        if below > above:
+            k = (below - 1) // above
+            below -= k * above
+            yield 1, k
         else:
-            word.append("R")
-            lo = med
+            k = (above - 1) // below
+            above -= k * below
+            yield 0, k
 
 
 @lru_cache(maxsize=None)
@@ -92,22 +103,10 @@ def markov_of_slope(p: int, q: int) -> int:
     p, q = as_slope(p, q)
     if q == 1:
         return 1 + p  # m(0/1) = 1, m(1/1) = 2
-    # Bracket endpoints and the values of (left, right, mediant).
-    pl, ql, ph, qh = 0, 1, 1, 1
-    m_lo, m_hi, m_med = 1, 2, 5
-    while True:
-        # q * ql * (p/q - lo) and q * qh * (hi - p/q); equal at the mediant.
-        above, below = p * ql - pl * q, ph * q - p * qh
-        if above == below:
-            return m_med
-        if below > above:  # a run of left moves: hi steps towards lo
-            k = (below - 1) // above
-            ph, qh = ph + k * pl, qh + k * ql
-            m_hi, m_med = _recurrence_run(m_lo, m_hi, m_med, k)
-        else:  # a run of right moves: lo steps towards hi
-            k = (above - 1) // below
-            pl, ql = pl + k * ph, ql + k * qh
-            m_lo, m_med = _recurrence_run(m_hi, m_lo, m_med, k)
+    ends, m_med = [1, 2], 5  # the values at 0/1, 1/1 and the mediant 1/2
+    for side, k in _runs(p, q):
+        ends[side], m_med = _recurrence_run(ends[1 - side], ends[side], m_med, k)
+    return m_med
 
 
 def _recurrence_run(fixed: int, prev: int, cur: int, k: int):

@@ -5,13 +5,13 @@ norm is arccosh(3 m(p/q) / 2); it extends by homogeneity, by the order-12
 symmetry group of the norm ball, and by convexity to the whole plane.
 
 Real directions are evaluated by sandwiching: descend the Farey tree towards
-the direction one Stern-Brocot run at a time, keep the bracketing boundary
-points of the unit ball plus one known point beyond each side, and trap the
-value between the crossing of the inner chord (an upper bound, since chords
-of a convex ball lie inside it) and the crossings of the two outer secants
-(lower bounds).  Every float step uses outward-rounded interval arithmetic,
-and all lattice cross products are exact integers, so the returned interval
-is a certified enclosure.
+the direction one Stern-Brocot run (one matrix power) at a time, keep the
+bracketing boundary points of the unit ball plus one known point beyond each
+side, and trap the value between the crossing of the inner chord (an upper
+bound, since chords of a convex ball lie inside it) and the crossings of the
+two outer secants (lower bounds).  Every float step uses outward-rounded
+interval arithmetic, and all lattice cross products are exact integers, so
+the returned interval is a certified enclosure.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .indexing import _recurrence_run, markov_of_slope, mat_mul
+from .indexing import _recurrence_run, _runs, markov_of_slope, mat_mul
 from .intervals import (
+    _dn,
+    _up,
     iv_acosh_half_int,
     iv_acosh_minus_log,
     iv_add,
@@ -37,10 +39,6 @@ from .intervals import (
     iv_sub,
     iv_width,
 )
-
-_DN = lambda v: math.nextafter(v, -math.inf)
-_UP = lambda v: math.nextafter(v, math.inf)
-
 
 class NormInterval(NamedTuple):
     lo: float
@@ -155,7 +153,7 @@ def _iv_from_int_pow2(n: int, e: int):
     if math.isinf(hi):
         raise OverflowError("lattice coordinate exceeds float range")
     if hi < 4.5e-308:  # subnormal ldexp may have rounded either way
-        lo, hi = _DN(lo), _UP(hi)
+        lo, hi = _dn(lo), _up(hi)
     if n < 0:
         return (-hi, -lo)
     return (lo, hi)
@@ -220,10 +218,10 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     # side also carries (|c(O)| - |c|, N - N(O)) for the known boundary point O
     # one step further out.  N - N(O) comes from the exact trace ratio, so the
     # outer-secant lower bound, a sum of two positive terms, stays a few ulp
-    # wide along any run.  Runs go in chunks of 4, 8, 16, ... substeps, one
-    # _recurrence_run power each, and the bounds are checked after every chunk.
-    # A substep multiplies the mediant's trace 3m by less than the fixed end's
-    # trace, so each chunk stops short of a trace past _TRACE_BITS bits.
+    # wide along any run.  Each run from _runs is one _recurrence_run power,
+    # and the bounds are checked after every power.  A substep multiplies the
+    # mediant's trace 3m by less than the fixed end's trace, so a power is cut
+    # short of a trace past _TRACE_BITS bits; the rest of the run follows.
     (n3, h3), (n6, h6), (n15, _) = _START
     ends = [(-pd, 1, n3, h3), (qd - pd, 2, n6, h6)]
     outs = [(qd, (0.0, 0.0)), (qd, iv_sub(n6, n15))]  # O = (1, -1) and (1, 2)
@@ -236,6 +234,7 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     scaled_tol = 0.9 * tol / scale if 0.0 < scale < math.inf else 0.0
 
     best = (0.0, math.inf)
+    runs = _runs(pd, qd)
     substeps = run = 0
 
     def merge(enc):
@@ -256,16 +255,14 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
             reason = "tolerance"
             break
         if not run:  # a new run: the side that moves and its length
-            if cr == -cl:
+            side, run = next(runs, (0, 0))
+            if not run:  # the mediant lies on the direction
                 merge(iv_mul(iv_acosh_half_int(3 * m_med), _iv_from_int_pow2(1, -j)))
                 reason = "exact hit"
                 break
-            side = int(cr > -cl)  # 1: the mediant lies above, so R moves
-            run = (max(cr, -cl) - 1) // min(cr, -cl)
-            size = 4
         (cs, ms, _, hs), (cf, mf, _, _) = ends[side], ends[1 - side]
         room = (_TRACE_BITS - (3 * m_med).bit_length()) // (3 * mf).bit_length()
-        n = min(size, run, room)
+        n = min(run, room)
         if n == 0:
             reason = "trace bound"
             break
@@ -279,7 +276,6 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         outs[side] = (abs(cf), iv_add(iv_ln_ratio(m1, m0), iv_sub(h1, h0)))
         substeps += n
         run -= n
-        size *= 2
 
     counters = f"{substeps} substeps, {(3 * m_med).bit_length()}-bit trace"
     return _finish(best, g, j - k, tol, f"{reason}: {counters}")

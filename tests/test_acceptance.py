@@ -18,12 +18,10 @@ import mpmath
 import oracles
 from markovnorm import (
     SYMMETRY_GROUP,
-    AccuracyLimitError,
     CheckResult,
     apply_symmetry,
     ball_boundary_sample,
     canonicalize,
-    children,
     count_lattice,
     count_triples,
     enumerate_tree,

@@ -2,12 +2,10 @@
 duplicate-value scan."""
 
 import itertools
-import math
 
 import pytest
 
 import markovnorm.conjectures as conjectures
-import oracles
 from markovnorm import (
     FAMILIES,
     CheckResult,

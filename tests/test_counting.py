@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-import oracles
 from markovnorm import (
     CountPoint,
     PreconditionViolatedError,

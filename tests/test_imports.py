@@ -1,7 +1,7 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module or test module imports is used in that module.
 
-A stdlib-only stand-in for a linter's unused-import rule.  ``__init__.py``
-is skipped because its imports are the public re-exports.
+A stdlib-only stand-in for a linter's unused-import rule.  The package's
+``__init__.py`` is skipped because its imports are the public re-exports.
 """
 
 import ast
@@ -11,8 +11,9 @@ import pytest
 
 import markovnorm
 
-MODULES = sorted(p for p in Path(markovnorm.__file__).parent.glob("*.py")
+PACKAGE = sorted(p for p in Path(markovnorm.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +36,7 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from typing import Iterator as It\nx: It\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: (
+    p.name if p in PACKAGE else f"tests/{p.name}"))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -16,7 +16,6 @@ from markovnorm import (
     christoffel_word,
     markov_of_slope,
     markov_of_slope_via_trace,
-    markov_table,
     mat_det,
     mat_mul,
     mat_trace,
@@ -205,9 +204,10 @@ def test_stern_brocot_path_examples():
 
 def test_stern_brocot_path_roundtrip():
     # Replaying the letters as mediant descents from the unit interval
-    # must land back on the slope.
-    for p, q in coprime_slopes(20):
-        if q == 1 or (p, q) == (1, 1):
+    # must land back on the slope; the long runs 1/q and (q-1)/q too.
+    long_runs = [(p, q) for q in range(151, 2001) for p in (1, q - 1)]
+    for p, q in list(coprime_slopes(150)) + long_runs:
+        if q == 1:
             continue
         lo, hi = (0, 1), (1, 1)
         cur = (lo[0] + hi[0], lo[1] + hi[1])

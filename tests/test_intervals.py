@@ -12,11 +12,9 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-import oracles
 from markovnorm.intervals import (
     iv_acosh_half_int,
     iv_acosh_minus_log,
-    iv_acosh_of_logtrace,
     iv_add,
     iv_exp,
     iv_ln_int,
@@ -115,15 +113,6 @@ def test_acosh_half_int_anchor():
         assert mpmath.mpf(lo) <= 2 * mpmath.ln(phi) <= mpmath.mpf(hi)
     assert hi - lo <= 32 * math.ulp(lo)
     assert math.isclose((lo + hi) / 2, 0.9624236501192069, rel_tol=1e-13)
-
-
-@given(st.integers(min_value=3, max_value=10**200))
-def test_acosh_of_logtrace_composes(t):
-    iv = iv_acosh_of_logtrace(iv_ln_int(t))
-    with mpmath.workdps(len(str(t)) + 40):
-        exact = mpmath.acosh(mpmath.mpf(t) / 2)
-    assert contains(iv, exact)
-    assert tight(iv, rel=1e-11)
 
 
 @given(st.integers(min_value=1, max_value=10**400),

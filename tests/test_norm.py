@@ -18,7 +18,6 @@ from markovnorm import (
     apply_symmetry,
     ball_boundary_sample,
     canonicalize,
-    markov_of_slope,
     markov_of_slope_via_trace,
     norm_real,
     stable_norm,
@@ -291,6 +290,19 @@ def test_norm_real_unreachable_tol_exits_at_trace_bound(deadline):
     assert info.value.interval.lo > 9e14
 
 
+def test_norm_real_exact_hit_exit():
+    # Direction 1/600, past the exact-direction cutoff: one run of 598 moves
+    # lands the mediant on it.  tol is below the ulp of the value, so the
+    # exit raises with the exact enclosure, rescaled, as its payload.
+    with pytest.raises(AccuracyLimitError) as info:
+        norm_real(614400.0, 1024.0, tol=1e-12)
+    assert _exit_counters(str(info.value), "exact hit") == (598, 835)
+    payload, exact = info.value.interval, stable_norm_interval((614400, 1024))
+    assert payload.lo <= exact.hi and exact.lo <= payload.hi
+    ulp = math.ulp(exact.lo)
+    assert exact.lo - ulp <= payload.lo and payload.hi <= exact.hi + ulp
+
+
 @pytest.mark.parametrize("x, y", [
     # Points where the enclosure narrows slowly for many checks in a row
     # before it reaches the tolerance.
@@ -299,7 +311,7 @@ def test_norm_real_unreachable_tol_exits_at_trace_bound(deadline):
     (-41.547292298262164, -0.14409430298017867),
     # Points inside long runs.  Were N - N(O) taken as the difference of two
     # norm enclosures, the outer-secant rounding would grow along the run
-    # and the narrowest enclosure would come early, between chunk checks.
+    # and the narrowest enclosure would come early, before the run's end.
     (22.033435975606608, -4.405641719139027),
     (35.26320495339756, 21.157301109527367),
     (-47.36789738563079, -15.784498631045103),
