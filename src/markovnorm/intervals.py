@@ -39,6 +39,18 @@ def iv_mul(a, b):
     return (_dn(min(ps)), _up(max(ps)))
 
 
+def _dot_lo(a, b, c, d) -> float:
+    """Lower end of iv_add(iv_mul(a, b), iv_mul(c, d)) for a, b, c >= 0 and
+    d of any sign, from the two products that set it."""
+    cd = c[0] * d[0] if d[0] >= 0.0 else c[1] * d[0]
+    return _dn(_dn(a[0] * b[0]) + _dn(cd))
+
+
+def _dot_hi(a, b, c, d) -> float:
+    """Upper end of iv_add(iv_mul(a, b), iv_mul(c, d)) for a, b, c, d >= 0."""
+    return _up(_up(a[1] * b[1]) + _up(c[1] * d[1]))
+
+
 def iv_sqrt(a):
     if a[0] < 0.0:
         raise ValueError("interval sqrt of a negative lower bound")
@@ -104,14 +116,18 @@ def iv_acosh_of_logtrace(u):
 def iv_acosh_minus_log(u):
     """Enclosure of arccosh(t/2) - ln t = ln(1 + sqrt(1 - 4 e^{-2u})) - ln 2
     given an enclosure u of ln t, t >= 3.  The root stays in [sqrt(5)/3, 1],
-    so the enclosure is a few ulp of 1 wide for any t."""
+    so the enclosure is a few ulp of 1 wide for any t.
+
+    Once u >= 21 it is the constant (-2**-58, 0), with no exp, sqrt or
+    log1p.  With x = 4/t**2 <= 4 e**-42 < 2**-58, sqrt(1 - x) lies in
+    [1 - x, 1], so the value ln((1 + sqrt(1 - x))/2) lies in [ln(1 - x/2), 0],
+    and ln(1 - x/2) >= -x for x <= 1.
+    """
+    if u[0] >= 21.0:
+        return (-2.0**-58, 0.0)
     four = (4.0, 4.0)
     e = iv_exp(iv_mul((-2.0, -2.0), u))
     inner = iv_sub((1.0, 1.0), iv_mul(four, e))
     if inner[0] < 0.0:
         inner = (0.0, inner[1])
     return iv_sub(iv_log1p(iv_sqrt(inner)), LN2)
-
-
-def iv_width(a) -> float:
-    return a[1] - a[0]

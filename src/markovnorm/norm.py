@@ -5,13 +5,13 @@ norm is arccosh(3 m(p/q) / 2); it extends by homogeneity, by the order-12
 symmetry group of the norm ball, and by convexity to the whole plane.
 
 Real directions are evaluated by sandwiching: descend the Farey tree towards
-the direction one Stern-Brocot run (one matrix power) at a time, keep the
-bracketing boundary points of the unit ball plus one known point beyond each
-side, and trap the value between the crossing of the inner chord (an upper
-bound, since chords of a convex ball lie inside it) and the crossings of the
-two outer secants (lower bounds).  Every float step uses outward-rounded
-interval arithmetic, and all lattice cross products are exact integers, so
-the returned interval is a certified enclosure.
+the direction one Stern-Brocot run at a time, keep the bracketing boundary
+points of the unit ball plus one known point beyond each side, and trap the
+value between the crossing of the inner chord (an upper bound, since chords
+of a convex ball lie inside it) and the crossings of the two outer secants
+(lower bounds).  Every float step uses outward-rounded interval arithmetic,
+and all lattice cross products are exact integers, so the returned interval
+is a certified enclosure.
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .indexing import _recurrence_run, _runs, markov_of_slope, mat_mul
+from .indexing import _recurrence_run, _runs, farey_walk, markov_of_slope, mat_mul
 from .intervals import (
     _dn,
+    _dot_hi,
+    _dot_lo,
     _up,
     iv_acosh_half_int,
     iv_acosh_minus_log,
@@ -37,7 +39,6 @@ from .intervals import (
     iv_ln_ratio,
     iv_mul,
     iv_sub,
-    iv_width,
 )
 
 class NormInterval(NamedTuple):
@@ -153,7 +154,7 @@ def _iv_from_int_pow2(n: int, e: int):
     if math.isinf(hi):
         raise OverflowError("lattice coordinate exceeds float range")
     if hi < 4.5e-308:  # subnormal ldexp may have rounded either way
-        lo, hi = _dn(lo), _up(hi)
+        lo, hi = max(_dn(lo), 0.0), _up(hi)  # a > 0, so lo stays >= 0
     if n < 0:
         return (-hi, -lo)
     return (lo, hi)
@@ -209,24 +210,31 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     qd, pd = cq // g, cp // g
 
     if qd <= _EXACT_DENOMINATOR_CUTOFF:
-        enc = iv_acosh_half_int(3 * markov_of_slope(pd, qd))
+        enc = _norm_parts(3 * markov_of_slope(pd, qd))[0]
         return _finish(enc, g, -k, tol, "exact direction")
 
-    # Farey sandwich.  Each bracket end L, R carries (c, m, N, h): c = qd p -
+    # Farey sandwich.  Each bracket end L, R carries (c, m, N, h, a): c = qd p -
     # pd q, the exact cross product of its vector (q, p) with the direction
-    # (< 0 below, > 0 above), m, its norm enclosure N, and h = N - ln 3m.  Each
-    # side also carries (|c(O)| - |c|, N - N(O)) for the known boundary point O
-    # one step further out.  N - N(O) comes from the exact trace ratio, so the
-    # outer-secant lower bound, a sum of two positive terms, stays a few ulp
-    # wide along any run.  Each run from _runs is one _recurrence_run power,
-    # and the bounds are checked after every power.  A substep multiplies the
-    # mediant's trace 3m by less than the fixed end's trace, so a power is cut
-    # short of a trace past _TRACE_BITS bits; the rest of the run follows.
-    (n3, h3), (n6, h6), (n15, _) = _START
-    ends = [(-pd, 1, n3, h3), (qd - pd, 2, n6, h6)]
-    outs = [(qd, (0.0, 0.0)), (qd, iv_sub(n6, n15))]  # O = (1, -1) and (1, 2)
-    m_med = 5
+    # (< 0 below, > 0 above), m, its norm enclosure N, h = N - ln 3m, and a,
+    # the enclosure of |c| 2**-j, converted once, when the end moves.  Each
+    # side also carries (b, N - N(O)) for the known boundary point O one step
+    # further out: b encloses (|c(O)| - |c|) 2**-j, the fixed end's a at the
+    # move.  The inner chord gives the upper bound a(R) N(L) + a(L) N(R), and
+    # each outer secant the lower bound b N + a (N - N(O)).  N - N(O) comes
+    # from the exact trace ratio, so that bound stays a few ulp wide along any
+    # run.  N - N(O) is positive once the side has moved, but before the right
+    # end first moves it is arccosh 3 - arccosh 7.5 < 0, which _dot_lo allows
+    # for.  Each run from _runs is one _recurrence_run, and the bounds are
+    # checked after every run.  A substep multiplies the mediant's trace 3m by
+    # less than the fixed end's trace, so a run is cut short of a trace past
+    # _TRACE_BITS bits; the rest of the run follows.
     j = max(qd.bit_length() - 8, 0)
+    (n3, h3), (n6, h6), (n15, _) = _START
+    b0 = _iv_from_int_pow2(qd, -j)
+    ends = [(-pd, 1, n3, h3, _iv_from_int_pow2(pd, -j)),
+            (qd - pd, 2, n6, h6, _iv_from_int_pow2(qd - pd, -j))]
+    outs = [(b0, (0.0, 0.0)), (b0, iv_sub(n6, n15))]  # O = (1, -1) and (1, 2)
+    m_med = 5
     try:  # a conservative tolerance for the unscaled direction enclosure
         scale = _iv_from_int_pow2(g, j - k)[1]
     except OverflowError:
@@ -237,30 +245,27 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     runs = _runs(pd, qd)
     substeps = run = 0
 
-    def merge(enc):
+    def merge(lo, hi):
         nonlocal best
-        best = (max(best[0], enc[0]), min(best[1], enc[1]))
+        best = (max(best[0], lo), min(best[1], hi))
         if best[0] > best[1]:
             raise InternalInconsistencyError("sandwich enclosures disagree")
 
     while True:
-        (cl, _, nl, _), (cr, _, nr, _) = ends
-        (el, dl), (er, dr) = outs
-        al, ar, bl, br = (_iv_from_int_pow2(c, -j) for c in (-cl, cr, el, er))
-        upper = iv_add(iv_mul(ar, nl), iv_mul(al, nr))
-        low_l = iv_add(iv_mul(bl, nl), iv_mul(al, dl))
-        low_r = iv_add(iv_mul(br, nr), iv_mul(ar, dr))
-        merge((max(low_l[0], low_r[0], 0.0), upper[1]))
-        if iv_width(best) <= scaled_tol:
+        (_, _, nl, _, al), (_, _, nr, _, ar) = ends
+        (bl, dl), (br, dr) = outs
+        merge(max(_dot_lo(bl, nl, al, dl), _dot_lo(br, nr, ar, dr), 0.0),
+              _dot_hi(ar, nl, al, nr))
+        if best[1] - best[0] <= scaled_tol:
             reason = "tolerance"
             break
         if not run:  # a new run: the side that moves and its length
             side, run = next(runs, (0, 0))
             if not run:  # the mediant lies on the direction
-                merge(iv_mul(iv_acosh_half_int(3 * m_med), _iv_from_int_pow2(1, -j)))
+                merge(*iv_mul(_norm_parts(3 * m_med)[0], _iv_from_int_pow2(1, -j)))
                 reason = "exact hit"
                 break
-        (cs, ms, _, hs), (cf, mf, _, _) = ends[side], ends[1 - side]
+        (cs, ms, _, hs, _), (cf, mf, _, _, af) = ends[side], ends[1 - side]
         room = (_TRACE_BITS - (3 * m_med).bit_length()) // (3 * mf).bit_length()
         n = min(run, room)
         if n == 0:
@@ -272,8 +277,9 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
             m0 = 3 * mf * m1 - m_med
             h0 = _norm_parts(3 * m0)[1]
         n1, h1 = _norm_parts(3 * m1)
-        ends[side] = (cs + n * cf, m1, n1, h1)
-        outs[side] = (abs(cf), iv_add(iv_ln_ratio(m1, m0), iv_sub(h1, h0)))
+        c1 = cs + n * cf
+        ends[side] = (c1, m1, n1, h1, _iv_from_int_pow2(abs(c1), -j))
+        outs[side] = (af, iv_add(iv_ln_ratio(m1, m0), iv_sub(h1, h0)))
         substeps += n
         run -= n
 
@@ -282,13 +288,25 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
 
 
 def _norm_parts(t: int):
-    """Enclosures of arccosh(t/2) and of arccosh(t/2) - ln t, for t >= 3."""
-    u = iv_ln_int(t)
-    h = iv_acosh_minus_log(u)
-    return iv_add(u, h), h
+    """Enclosures of arccosh(t/2) and of arccosh(t/2) - ln t, for t >= 3.
+
+    The first is bit for bit iv_acosh_half_int(t)."""
+    parts = _SMALL_TRACES.get(t)
+    if parts is None:
+        u = iv_ln_int(t)
+        h = iv_acosh_minus_log(u)
+        parts = iv_add(u, h), h
+    return parts
 
 
-_START = [_norm_parts(t) for t in (3, 6, 15)]  # at (1, 0), (1, 1) and (1, 2)
+# _norm_parts at each of the 85 Markov traces 3m < 2**31, computed at import
+# (the dict is filled after it exists, since _norm_parts reads it).  Every
+# larger trace has ln 3m >= 21 and takes the closed-form tail of
+# iv_acosh_minus_log, so after import norm_real runs no exp, sqrt or log1p.
+_SMALL_TRACES = {}
+_SMALL_TRACES.update({3 * m: _norm_parts(3 * m) for m in [1, 2] + [
+    mid[2] for _, _, mid in farey_walk(lambda node: 3 * node[2][2] < 1 << 31)]})
+_START = [_SMALL_TRACES[t] for t in (3, 6, 15)]  # at (1, 0), (1, 1) and (1, 2)
 
 
 def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:

@@ -47,6 +47,30 @@ def brute_force_triples(bound: int) -> list[tuple[int, int, int]]:
     return sorted(set(found))
 
 
+def vieta_markov_numbers(bound: int) -> set[int]:
+    """Every Markov number <= bound, by Vieta jumps from (1, 1, 1).
+
+    Replacing z in a solution by the other root 3xy - z of the quadratic in
+    z gives another solution.  Every solution is reached from (1, 1, 1) by
+    jumps whose largest entries never decrease, so a search over the
+    triples whose largest entry is <= bound finds them all.  It reaches
+    bounds far beyond brute_force_triples.
+    """
+    seen = set()
+    stack = [(1, 1, 1)]
+    while stack:
+        triple = stack.pop()
+        if triple in seen:
+            continue
+        seen.add(triple)
+        x, y, z = triple
+        for jumped in ((3 * y * z - x, y, z), (x, 3 * x * z - y, z), (x, y, 3 * x * y - z)):
+            jumped = tuple(sorted(jumped))
+            if jumped[2] <= bound:
+                stack.append(jumped)
+    return {v for triple in seen for v in triple}
+
+
 def naive_triples(bound: int) -> list[tuple[int, int, int]]:
     """Same search without the early break, for validating the break."""
     found = []

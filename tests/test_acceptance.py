@@ -131,13 +131,11 @@ def _exact_path(letters: str):
 
 
 def _mod_cubic_violations(a, b, c, p, np) -> int:
-    aa = a * a % p
-    bb = b * b % p
-    cc = c * c % p
-    abc = (a * b % p) * c % p
-    lhs = (aa + bb + cc) % p
-    rhs = 3 * abc % p
-    return int(np.count_nonzero((lhs + p - rhs) % p))
+    # Residues lie below p < 2**31, so a*a + b*b + c*c and (a*b % p) * (3*c)
+    # both stay below 3 * 2**62 and neither wraps in uint64.
+    lhs = (a * a + b * b + c * c) % p
+    rhs = (a * b % p) * (3 * c) % p
+    return int(np.count_nonzero(lhs != rhs))
 
 
 def _mod_children(a, b, c, p, np):

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import markovnorm.indexing
 import oracles
@@ -80,6 +80,17 @@ def test_routes_agree_on_random_slopes(q, p):
     p %= q + 1
     g = math.gcd(p, q)
     assert markov_of_slope(p // g, q // g) == markov_of_slope_via_trace(p // g, q // g)
+
+
+@given(st.integers(1, 2**300), st.integers(0, 2**3000), st.integers(1, 2**3000),
+       st.integers(1, 300))
+@example(1, 2, 5, 300)  # a long run from the root: the matrix power
+@example(2**200, 2**2999, 2**3000, 2)  # a short run of long operands: steps
+def test_recurrence_run_equals_plain_steps(fixed, prev, cur, k):
+    expected = (prev, cur)
+    for _ in range(k):
+        expected = (expected[1], 3 * fixed * expected[1] - expected[0])
+    assert markovnorm.indexing._recurrence_run(fixed, prev, cur, k) == expected
 
 
 def test_christoffel_matrix_is_the_word_product():

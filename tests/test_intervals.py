@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from markovnorm.intervals import (
+    _dot_hi,
+    _dot_lo,
     iv_acosh_half_int,
     iv_acosh_minus_log,
     iv_add,
@@ -23,7 +25,6 @@ from markovnorm.intervals import (
     iv_mul,
     iv_sqrt,
     iv_sub,
-    iv_width,
 )
 
 finite = st.floats(
@@ -129,7 +130,16 @@ def test_ln_ratio_contains_exact(b, d):
         assert iv[1] - iv[0] <= 4e-15 * iv[0]
 
 
-@given(st.integers(min_value=3, max_value=10**300))
+# iv_acosh_minus_log turns to its closed-form tail once the enclosure of
+# ln t reaches 21, which happens between floor(e**21) and the next integer.
+_E21 = math.floor(math.exp(21))
+
+
+@given(st.one_of(st.integers(_E21 - 10**4, _E21 + 10**4),
+                 st.integers(2**31 - 10**4, 2**31 + 10**4),
+                 st.integers(min_value=3, max_value=10**300)))
+@example(_E21)
+@example(_E21 + 1)
 def test_acosh_minus_log_is_a_few_ulp_of_one_wide(t):
     iv = iv_acosh_minus_log(iv_ln_int(t))
     with mpmath.workdps(len(str(t)) + 40):
@@ -138,15 +148,30 @@ def test_acosh_minus_log_is_a_few_ulp_of_one_wide(t):
     assert iv[1] - iv[0] <= 4e-15
 
 
+def test_acosh_minus_log_takes_the_tail_from_ln_21():
+    assert iv_ln_int(_E21)[0] < 21.0 <= iv_ln_int(_E21 + 1)[0]
+    assert iv_acosh_minus_log(iv_ln_int(_E21)) != (-2.0**-58, 0.0)
+    assert iv_acosh_minus_log(iv_ln_int(_E21 + 1)) == (-2.0**-58, 0.0)
+
+
+nonneg_iv = st.lists(st.floats(min_value=0.0, max_value=1e150), min_size=2,
+                     max_size=2).map(sorted).map(tuple)
+signed_iv = st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=2,
+                     max_size=2).map(sorted).map(tuple)
+
+
+@given(nonneg_iv, nonneg_iv, nonneg_iv, signed_iv)
+def test_dot_bounds_equal_the_interval_expression(a, b, c, d):
+    lo, hi = iv_add(iv_mul(a, b), iv_mul(c, d))
+    assert _dot_lo(a, b, c, d) == lo
+    if d[0] >= 0.0:
+        assert _dot_hi(a, b, c, d) == hi
+
+
 def test_ln_ratio_requires_a_ratio_of_at_least_one():
     for a, b in [(1, 2), (0, 1), (1, 0)]:
         with pytest.raises(ValueError):
             iv_ln_ratio(a, b)
-
-
-def test_width():
-    assert iv_width((1.0, 2.0)) == 1.0
-    assert iv_width((3.5, 3.5)) == 0.0
 
 
 @given(st.lists(moderate, min_size=2, max_size=8))

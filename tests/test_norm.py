@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+import markovnorm.intervals
 import oracles
 from markovnorm import (
     SYMMETRY_GROUP,
@@ -23,7 +24,13 @@ from markovnorm import (
     stable_norm,
     stable_norm_interval,
 )
-from markovnorm.norm import _TRACE_BITS, _iv_from_int_pow2
+from markovnorm.intervals import (
+    iv_acosh_half_int,
+    iv_acosh_minus_log,
+    iv_add,
+    iv_ln_int,
+)
+from markovnorm.norm import _SMALL_TRACES, _TRACE_BITS, _iv_from_int_pow2
 
 int_vectors = st.tuples(
     st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
@@ -167,6 +174,17 @@ def test_from_int_contains_and_is_tight(n, e):
         assert hi - lo <= 2.0**-52 * abs(lo)
 
 
+@given(st.integers(min_value=-(2**60), max_value=2**60).filter(bool),
+       st.integers(-1200, -1000))
+def test_from_int_in_the_subnormal_range_keeps_its_sign(n, e):
+    # The sandwich's factors are such enclosures of positive integers, and
+    # its lower bounds take their lower ends to be nonnegative.
+    lo, hi = _iv_from_int_pow2(n, e)
+    exact = n * Fraction(2) ** e
+    assert Fraction(lo) <= exact <= Fraction(hi)
+    assert lo >= 0.0 if n > 0 else hi <= 0.0
+
+
 def coprime_pairs(max_q, rng):
     while True:
         q = rng.randrange(1, max_q + 1)
@@ -301,6 +319,37 @@ def test_norm_real_exact_hit_exit():
     assert payload.lo <= exact.hi and exact.lo <= payload.hi
     ulp = math.ulp(exact.lo)
     assert exact.lo - ulp <= payload.lo and payload.hi <= exact.hi + ulp
+
+
+def test_small_trace_table_holds_the_computed_parts():
+    markov = oracles.vieta_markov_numbers((2**31 - 1) // 3)
+    assert set(_SMALL_TRACES) == {3 * m for m in markov}
+    for t, (n, h) in _SMALL_TRACES.items():
+        u = iv_ln_int(t)
+        assert h == iv_acosh_minus_log(u)
+        assert n == iv_add(u, h) == iv_acosh_half_int(t)
+
+
+def test_norm_real_runs_no_exp(monkeypatch):
+    # Small traces come from the table and larger ones take the closed-form
+    # tail, so after import no exit reaches the exp/sqrt/log1p chain.
+    def forbidden(*args):
+        raise AssertionError("norm_real reached iv_exp")
+
+    monkeypatch.setattr(markovnorm.intervals, "iv_exp", forbidden)
+    for x, y, tol in [
+        (-47.36789738563079, -15.784498631045103, 1e-12),  # sandwich, long runs
+        (870.319518530656, 857.9951066621662, 1e-10),  # sandwich, balanced path
+        (3.0, 2.0, 1e-12),  # exact direction 2/3, a table trace
+        (1.0, 1 / 512, 1e-9),  # exact direction 1/512, a 713-bit trace
+    ]:
+        assert norm_real(x, y, tol).width <= tol
+    for x, y, tol, exit_name in [
+        (614400.0, 1024.0, 1e-12, "exact hit"),
+        (1e15, 1.0, 0.1, "trace bound"),
+    ]:
+        with pytest.raises(AccuracyLimitError, match=f"^{exit_name}"):
+            norm_real(x, y, tol)
 
 
 @pytest.mark.parametrize("x, y", [

@@ -22,6 +22,12 @@ def test_brute_force_triples_satisfy_cubic():
         assert x <= y <= z
 
 
+def test_vieta_search_matches_brute_force(brute_1e4):
+    for bound in (1, 2, 5, 10**4):
+        triples = [t for t in brute_1e4 if t[2] <= bound]
+        assert oracles.vieta_markov_numbers(bound) == {v for t in triples for v in t}
+
+
 def test_staircase_word_small_cases():
     # Hand-drawn lattice staircases.
     assert oracles.staircase_word(0, 1) == "a"
