@@ -1,10 +1,14 @@
 """Monotonicity of Markov numbers along slope families, and the duplicate scan.
 
 Three integer-level families compare m_{p/q} against a neighbour with the
-same numerator, the same denominator, or the same sum p+q.  All integer
-comparisons are exact; no float is consulted.  The real-level counterpart
-compares certified stable-norm intervals and reports Certified only when the
-intervals are disjoint in the claimed order.
+same numerator, the same denominator, or the same sum p+q.  They are the
+three lattice steps (1, 0), (0, 1) and (1, -1) in (q, p) coordinates along
+which Theorem 1 says the stable norm grows, and one table of those steps
+drives the single checks, the exhaustive family runs and the three parts of
+the real-level check.  All integer comparisons are exact; no float is
+consulted.  The real-level counterpart compares certified stable-norm
+intervals and reports Certified only when the intervals are disjoint in the
+claimed order.
 """
 
 from __future__ import annotations
@@ -14,13 +18,17 @@ import itertools
 import random
 import time
 from math import gcd, isfinite
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import AccuracyLimitError, PreconditionViolatedError
 from .indexing import Slope, farey_walk, markov_of_slope, markov_table
 from .norm import NormInterval, norm_real
 
-FAMILIES = ("numerator", "denominator", "sum")
+# Each family is a lattice step (dq, dp) in (q, p) coordinates: it compares the
+# norm at (q, p) with the norm at (q + i dq, p + i dp) for i > 0.
+_STEPS = {"numerator": (1, 0), "denominator": (0, 1), "sum": (1, -1)}
+FAMILIES = tuple(_STEPS)
 
 
 class VerificationReport(NamedTuple):
@@ -46,79 +54,66 @@ def _check_slope_pair(p: int, q: int):
     _require(gcd(p, q) == 1, f"{p}/{q} is not reduced")
 
 
-def check_fixed_numerator(p: int, q: int, i: int) -> bool:
-    """Exact test of m_{p/q} < m_{p/(q+i)}."""
+def _check_step(family: str, p: int, q: int, i: int) -> bool:
+    """Exact test of m_{p/q} < m at i steps of the family from p/q."""
     _check_slope_pair(p, q)
     _require(isinstance(i, int) and i > 0, f"need integer i > 0, got {i!r}")
-    _require(gcd(p, q + i) == 1, f"{p}/{q + i} is not reduced")
-    return markov_of_slope(p, q) < markov_of_slope(p, q + i)
+    dq, dp = _STEPS[family]
+    p2, q2 = p + dp * i, q + dq * i
+    _require(0 <= p2 <= q2, f"{p2}/{q2} lies outside [0, 1]")
+    _require(gcd(p2, q2) == 1, f"{p2}/{q2} is not reduced")
+    return markov_of_slope(p, q) < markov_of_slope(p2, q2)
+
+
+def check_fixed_numerator(p: int, q: int, i: int) -> bool:
+    """Exact test of m_{p/q} < m_{p/(q+i)}."""
+    return _check_step("numerator", p, q, i)
 
 
 def check_fixed_denominator(p: int, q: int, i: int) -> bool:
     """Exact test of m_{p/q} < m_{(p+i)/q}."""
-    _check_slope_pair(p, q)
-    _require(isinstance(i, int) and i > 0, f"need integer i > 0, got {i!r}")
-    _require(p + i <= q, f"need p + i <= q, got p={p}, i={i}, q={q}")
-    _require(gcd(p + i, q) == 1, f"{p + i}/{q} is not reduced")
-    return markov_of_slope(p, q) < markov_of_slope(p + i, q)
+    return _check_step("denominator", p, q, i)
 
 
 def check_fixed_sum(p: int, q: int, i: int) -> bool:
     """Exact test of m_{p/q} < m_{(p-i)/(q+i)}."""
-    _check_slope_pair(p, q)
-    _require(isinstance(i, int) and i > 0, f"need integer i > 0, got {i!r}")
-    _require(p - i >= 0, f"need p - i >= 0, got p={p}, i={i}")
-    _require(gcd(p - i, q + i) == 1, f"{p - i}/{q + i} is not reduced")
-    return markov_of_slope(p, q) < markov_of_slope(p - i, q + i)
-
-
-def _pairs_by_group(table, key):
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for s in table:
-        groups.setdefault(key(s), []).append(s)
-    return groups
+    return _check_step("sum", p, q, i)
 
 
 def verify_family(family: str, max_bound: int) -> VerificationReport:
     """Exhaustively decide every admissible (p, q, i) within the bound.
 
-    Grouping slopes that only differ in the varying parameter turns the
-    family into all ordered pairs inside each group, so the whole run is a
-    single table build plus exact big-integer comparisons.  Sorted by the
-    varying parameter, a group is increasing on every pair exactly when it
-    is strictly increasing between neighbours (< is transitive), so only
-    neighbours are compared and ``cases`` counts the n(n-1)/2 pairs this
-    decides.  A group that fails a neighbour check is rescanned pair by
-    pair to list every violating (p, q, i).
+    Grouping slopes by the linear form dp q - dq p that the family's step
+    keeps fixed turns the family into all ordered pairs inside each group,
+    so the whole run is a single table build plus exact big-integer
+    comparisons.  Sorted by the coordinate the step moves, a group is
+    increasing on every pair exactly when it is strictly increasing between
+    neighbours (< is transitive), so only neighbours are compared and
+    ``cases`` counts the n(n-1)/2 pairs this decides.  A group that fails a
+    neighbour check is rescanned pair by pair to list every violating
+    (p, q, i).
     """
     _require(family in FAMILIES, f"unknown family {family!r}")
     _require(isinstance(max_bound, int) and max_bound >= 2,
              f"max_bound must be an integer >= 2, got {max_bound!r}")
     t0 = time.perf_counter()
     table = markov_table(max_bound)
-    if family == "numerator":
-        groups = _pairs_by_group(table, lambda s: s.p)
-        in_order = lambda s: s.q
-        witness = lambda a, b: (a.p, a.q, b.q - a.q)
-    elif family == "denominator":
-        groups = _pairs_by_group(table, lambda s: s.q)
-        in_order = lambda s: s.p
-        witness = lambda a, b: (a.p, a.q, b.p - a.p)
-    else:
-        groups = _pairs_by_group(table, lambda s: s.p + s.q)
-        in_order = lambda s: s.q
-        witness = lambda a, b: (a.p, a.q, b.q - a.q)
+    dq, dp = _STEPS[family]
+    groups: dict[int, list[Slope]] = {}
+    for s in table:
+        groups.setdefault(dp * s.q - dq * s.p, []).append(s)
+    along = attrgetter("q" if dq else "p")  # the coordinate the step moves
     cases = 0
     violations = []
     for members in groups.values():
-        members.sort(key=in_order)
+        members.sort(key=along)
         values = [table[s] for s in members]
         cases += len(values) * (len(values) - 1) // 2
         if all(a < b for a, b in zip(values, values[1:])):
             continue
         for (ia, a), (ib, b) in itertools.combinations(enumerate(members), 2):
             if not values[ia] < values[ib]:
-                violations.append(witness(a, b))
+                violations.append((a.p, a.q, along(b) - along(a)))
     return VerificationReport(family, max_bound, cases, tuple(violations),
                               time.perf_counter() - t0)
 
@@ -155,10 +150,11 @@ def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
                         parts=None) -> CheckResult:
     """Certify the three stable-norm monotonicity inequalities at (q, p).
 
-    Part 1: ||(q,p)|| < ||(q+i,p)||; part 2: ||(q,p)|| < ||(q,p+i)||;
+    Part k compares with the point i steps along family FAMILIES[k - 1]:
+    part 1: ||(q,p)|| < ||(q+i,p)||; part 2: ||(q,p)|| < ||(q,p+i)||;
     part 3 (requires p < q): ||(q,p)|| < ||(q+i,p-i)||.  By default every
-    applicable part is checked.  A part-3 comparand with p - i < 0 leaves
-    the first quadrant, so that part is skipped by default and flagged
+    applicable part is checked.  A comparand with p < 0 leaves the first
+    quadrant, so part 3 with p - i < 0 is skipped by default and flagged
     Inconclusive when requested explicitly.
     """
     _require(all(isfinite(v) for v in (q, p, i)), "arguments must be finite")
@@ -171,15 +167,9 @@ def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
     if 3 in parts:
         _require(p < q, f"part 3 needs p < q, got q={q}, p={p}")
     for part in parts:
-        if part == 1:
-            other = (q + i, p)
-        elif part == 2:
-            other = (q, p + i)
-        else:
-            if p - i < 0:
-                return CheckResult.INCONCLUSIVE
-            other = (q + i, p - i)
-        if not _certify_less((q, p), other, tol):
+        dq, dp = _STEPS[FAMILIES[part - 1]]
+        other = (q + dq * i, p + dp * i)
+        if other[1] < 0 or not _certify_less((q, p), other, tol):
             return CheckResult.INCONCLUSIVE
     return CheckResult.CERTIFIED
 
@@ -201,9 +191,8 @@ def verify_theorem1_random(samples: int, scale: float = 50.0,
         q = rng.uniform(1.0, scale)
         p = rng.uniform(0.0, q * 0.999)
         i = rng.uniform(1e-3, scale) if rng.random() < 0.5 else rng.uniform(1e-3, max(p, 1e-3))
-        parts = (1, 2, 3) if p - i >= 0 else (1, 2)
-        cases += len(parts)
-        if theorem1_check_real(q, p, i, tol=tol, parts=parts) is not CheckResult.CERTIFIED:
+        cases += 3 if p - i >= 0 else 2  # the parts checked by default
+        if theorem1_check_real(q, p, i, tol=tol) is not CheckResult.CERTIFIED:
             violations.append((q, p, i))
     return VerificationReport("theorem1", samples, cases, tuple(violations),
                               time.perf_counter() - t0)

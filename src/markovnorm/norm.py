@@ -23,10 +23,16 @@ from typing import NamedTuple
 from .errors import (
     AccuracyLimitError,
     InternalInconsistencyError,
-    OutOfRangeError,
     PreconditionViolatedError,
 )
-from .indexing import _recurrence_run, _runs, farey_walk, markov_of_slope, mat_mul
+from .indexing import (
+    _recurrence_run,
+    _runs,
+    farey_walk,
+    markov_of_slope,
+    markov_table,
+    mat_mul,
+)
 from .intervals import (
     _dn,
     _dot_hi,
@@ -131,13 +137,19 @@ def stable_norm_interval(v) -> NormInterval:
         raise AccuracyLimitError(f"reduced denominator {cq // g} > 2**18: use the real-"
                                  "point route (norm_real; norm x y without --exact)")
     m = markov_of_slope(cp // g, cq // g)
+    return NormInterval(*_scale(iv_acosh_half_int(3 * m), g, 0))
+
+
+def _scale(enc, g: int, e: int):
+    """enc * g * 2**e; AccuracyLimitError when its upper end passes the float
+    range."""
     try:
-        enc = iv_mul(_iv_from_int_pow2(g, 0), iv_acosh_half_int(3 * m))
+        out = iv_mul(enc, _iv_from_int_pow2(g, e))
     except OverflowError:
-        enc = (0.0, math.inf)
-    if enc[1] == math.inf:
+        out = (0.0, math.inf)
+    if out[1] == math.inf:
         raise AccuracyLimitError("norm exceeds float range")
-    return NormInterval(*enc)
+    return out
 
 
 def _iv_from_int_pow2(n: int, e: int):
@@ -174,10 +186,7 @@ def _dyadic_direction(x: float, y: float):
 
 def _finish(enc_dir, g: int, e: int, tol: float, reason: str):
     """Scale a direction enclosure by g * 2**e and enforce the tolerance."""
-    try:
-        enc = iv_mul(enc_dir, _iv_from_int_pow2(g, e))
-    except OverflowError:
-        raise AccuracyLimitError("norm exceeds float range") from None
+    enc = _scale(enc_dir, g, e)
     out = NormInterval(max(enc[0], 0.0), enc[1])
     if out.width <= tol:
         return out
@@ -313,17 +322,13 @@ def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:
     """Points v / ||v|| for every primitive v with cone denominator <= max_q.
 
     The full symmetry orbit is emitted, deduplicated, sorted by angle.
+    Raises OutOfRangeError when max_q < 1.
     """
-    if max_q < 1:
-        raise OutOfRangeError(f"max_q must be >= 1, got {max_q!r}")
     seen = {}
-    for q in range(1, max_q + 1):
-        for p in range(q + 1):
-            if gcd(p, q) != 1:
-                continue
-            n = stable_norm((q, p))
-            for g in SYMMETRY_GROUP:
-                w = apply_symmetry(g, (q, p))
-                if w not in seen:
-                    seen[w] = (w[0] / n, w[1] / n)
+    for (p, q), m in markov_table(max_q).items():
+        n = _acosh_half_float(3 * m)  # stable_norm((q, p))
+        for g in SYMMETRY_GROUP:
+            w = apply_symmetry(g, (q, p))
+            if w not in seen:
+                seen[w] = (w[0] / n, w[1] / n)
     return [seen[w] for w in sorted(seen, key=lambda w: math.atan2(w[1], w[0]))]

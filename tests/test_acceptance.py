@@ -158,33 +158,40 @@ def _log_state(values, np):
     return np.array(lo), np.array(hi)
 
 
+# One pass that widens at least as far as four nextafter passes.  With
+# 2**e <= |x| < 2**(e+1) and x normal, ulp(x) = 2**(e-52) and |x| 2**-50 =
+# 4 ulp(x) |x| / 2**e.  That covers four steps towards zero, each at most
+# ulp(x) wide, and four steps away from zero: a step past 2**(e+1) is
+# 2 ulp(x) wide, but only when |x| is within 4 ulp(x) of 2**(e+1), where the
+# term is almost 8 ulp(x).  For subnormal x the term may round to 0, and
+# 2**-1072 is four subnormal steps.  Rounding to nearest is monotone, so no
+# rounded result passes the float four steps out; the last nextafter is a
+# margin on top.
+def _widen_dn(x, np):
+    return np.nextafter(x - np.abs(x) * 2.0**-50 - 2.0**-1072, -np.inf)
+
+
+def _widen_up(x, np):
+    return np.nextafter(x + np.abs(x) * 2.0**-50 + 2.0**-1072, np.inf)
+
+
 def _log_child(lu, lw, lv, np):
     """Enclosure of ln(3uw - v) from enclosures of ln u, ln w, ln v.
 
     Relies on v < 3uw (true on every child) and widens each libm call by
-    four ulps; the guard is itself validated against exact logs on the
-    shallow levels.
+    at least four ulps; the guard is itself validated against exact logs on
+    the shallow levels.
     """
     dn = lambda x: np.nextafter(x, -np.inf)
     up = lambda x: np.nextafter(x, np.inf)
 
-    def dn4(x):
-        for _ in range(4):
-            x = np.nextafter(x, -np.inf)
-        return x
-
-    def up4(x):
-        for _ in range(4):
-            x = np.nextafter(x, np.inf)
-        return x
-
     s_lo = dn(dn(lu[0] + lw[0]) + _LN3[0])
     s_hi = up(up(lu[1] + lw[1]) + _LN3[1])
-    r_hi = up4(np.exp(up(lv[1] - s_lo)))
-    r_lo = np.maximum(dn4(np.exp(dn(lv[0] - s_hi))), 0.0)
+    r_hi = _widen_up(np.exp(up(lv[1] - s_lo)), np)
+    r_lo = np.maximum(_widen_dn(np.exp(dn(lv[0] - s_hi)), np), 0.0)
     assert float(r_hi.max()) < 0.45
-    m_lo = dn4(np.log1p(-r_hi))
-    m_hi = up4(np.log1p(-r_lo))
+    m_lo = _widen_dn(np.log1p(-r_hi), np)
+    m_hi = _widen_up(np.log1p(-r_lo), np)
     return dn(s_lo + m_lo), up(s_hi + m_hi)
 
 
@@ -205,6 +212,35 @@ def _ordering_violations(la, lb, lc, np) -> int:
     lhs_hi = up(up(la[1] + lb[1]) + _LN3[1])
     rhs_lo = dn(lc[0] + _LN2[0])
     return int(np.count_nonzero(lhs_hi >= rhs_lo))
+
+
+def test_log_widening_covers_four_nextafter_steps():
+    import numpy as np
+
+    def steps(x, direction):
+        for _ in range(4):
+            x = np.nextafter(x, direction)
+        return x
+
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2**63, size=200_000, dtype=np.uint64)
+    bits |= rng.integers(0, 2, size=bits.size, dtype=np.uint64) << np.uint64(63)
+    x = bits.view(np.float64)
+    x = np.concatenate([
+        x[np.isfinite(x)],
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 1.0, -1.0, 2.0, -2.0, 1e300, -1e300]])
+    assert (_widen_dn(x, np) <= steps(x, -np.inf)).all()
+    assert (_widen_up(x, np) >= steps(x, np.inf)).all()
+    # Across binade edges, where the steps change width.
+    edges = np.ldexp(1.0, np.arange(-1074, 1023))
+    for e in (edges, -edges):
+        for k in range(-4, 5):
+            y = e
+            for _ in range(abs(k)):
+                y = np.nextafter(y, np.inf if k > 0 else -np.inf)
+            assert (_widen_dn(y, np) <= steps(y, -np.inf)).all()
+            assert (_widen_up(y, np) >= steps(y, np.inf)).all()
 
 
 def test_criterion_3_tree_depth_25():
@@ -234,6 +270,7 @@ def test_criterion_3_tree_depth_25():
         split = 5
         rng = random.Random(20250815)
         primes = _sweep_primes(4, rng)
+        marks = [time.perf_counter()]
 
         # Pass 1: exact arithmetic, all nodes to depth 13.
         exact_levels = []
@@ -251,6 +288,7 @@ def test_criterion_3_tree_depth_25():
         for d in range(10):
             assert set(exact_levels[d]) == by_depth[d]
             assert len(exact_levels[d]) == 2**d
+        marks.append(time.perf_counter())
 
         # Pass 2: exact arithmetic along deep paths to depth 25.
         deep_paths = {
@@ -266,6 +304,7 @@ def test_criterion_3_tree_depth_25():
                 assert a * a + b * b + c * c == 3 * a * b * c
                 assert 3 * a * b < 2 * c
             path_values[name] = nodes
+        marks.append(time.perf_counter())
 
         # Pass 3 and 4 seeds: the 32 exact subtree roots at depth 5.
         shallow = list(_exact_levels(split))
@@ -306,6 +345,7 @@ def test_criterion_3_tree_depth_25():
                 assert _ordering_violations(la, lb, lc, np) == 0
                 if d < 13:
                     la, lb, lc = _log_children(la, lb, lc, np)
+        marks.append(time.perf_counter())
 
         # Pass 3: modular cubic residues, every node to depth 25.
         checked = sum(2**d for d in range(split))
@@ -331,6 +371,7 @@ def test_criterion_3_tree_depth_25():
                     if d < depth:
                         a, b, c = _mod_children(a, b, c, p, np)
         assert checked == 2 ** (depth + 1) - 1
+        marks.append(time.perf_counter())
 
         # Pass 4: certified log enclosures, every node to depth 25.
         max_width = 0.0
@@ -354,12 +395,15 @@ def test_criterion_3_tree_depth_25():
         # of outward rounding come to a few 1e-9; the ordering margin the
         # enclosures must resolve is log(3/2), eight orders larger.
         assert max_width < 1e-6
+        marks.append(time.perf_counter())
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0
+        passes = "/".join(f"{b - a:.1f}" for a, b in zip(marks, marks[1:]))
         g.detail = (
             f"{checked} nodes, exact to depth 13, 4 primes, "
-            f"max log width {max_width:.1e}")
+            f"max log width {max_width:.1e}, "
+            f"passes 1/2/shallow check/3/4 {passes}s")
 
 
 def test_criterion_4_monotonicity_families():

@@ -159,6 +159,15 @@ def test_accuracy_limit_from_any_subcommand_exits_1(capsys):
     assert "Traceback" not in err
 
 
+def test_norm_beyond_float_range(capsys):
+    # stdout stays valid JSON: no Infinity bound is printed.
+    code, out, err = run(capsys, "norm", "1.7e308", "1.7e308")
+    assert code == 1
+    assert "Infinity" not in out
+    assert json.loads(out) == {"error": "accuracy limit", "tol": 1e-9}
+    assert err.startswith("markovnorm: norm exceeds float range\n")
+
+
 def test_norm_exact_beyond_float_range(capsys):
     code, out, err = run(capsys, "norm", "--exact", str(10**400), "0")
     assert code == 1

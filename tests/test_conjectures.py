@@ -48,6 +48,18 @@ def test_comparison_directions_match_values():
         markov_of_slope(3, 4) < markov_of_slope(1, 6))
 
 
+def test_single_checks_step_in_their_family_direction(monkeypatch):
+    # Every monotonicity statement is true, so values cannot tell one
+    # family's direction from another's; the slopes looked up can.
+    asked = []
+    monkeypatch.setattr(conjectures, "markov_of_slope",
+                        lambda p, q: asked.append((p, q)) or 0)
+    check_fixed_numerator(2, 5, 4)
+    check_fixed_denominator(2, 5, 1)
+    check_fixed_sum(3, 4, 2)
+    assert asked == [(2, 5), (2, 9), (2, 5), (3, 5), (3, 4), (1, 6)]
+
+
 def test_check_preconditions():
     with pytest.raises(PreconditionViolatedError):
         check_fixed_numerator(2, 4, 1)
@@ -138,6 +150,17 @@ def test_theorem1_certifies_real_cases():
     assert theorem1_check_real(10.0, 3.0, 2.0, parts=(1,)) is CheckResult.CERTIFIED
     assert theorem1_check_real(10.0, 3.0, 2.0, parts=(2,)) is CheckResult.CERTIFIED
     assert theorem1_check_real(10.0, 3.0, 2.0, parts=(3,)) is CheckResult.CERTIFIED
+
+
+def test_theorem1_parts_step_in_their_family_direction(monkeypatch):
+    compared = []
+    monkeypatch.setattr(conjectures, "_certify_less",
+                        lambda a, b, tol: compared.append((a, b)) or True)
+    for part in (1, 2, 3):
+        theorem1_check_real(10.0, 3.0, 2.0, parts=(part,))
+    theorem1_check_real(10.0, 3.0, 2.0)
+    steps = [(12.0, 3.0), (10.0, 5.0), (12.0, 1.0)]
+    assert compared == [((10.0, 3.0), b) for b in steps + steps]
 
 
 def test_theorem1_part3_requires_descending_room():

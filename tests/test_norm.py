@@ -162,6 +162,16 @@ def test_stable_norm_beyond_float_range_raises():
                 fn(v)
 
 
+def test_norm_real_beyond_float_range_raises():
+    # Both norms pass 1.8e308: the exact direction (1, 1) at any tol, and a
+    # sandwiched direction after its descent.
+    for x, y, tol in [(1.7e308, 1.7e308, 1e-9), (1.7e308, 1.7e308, math.inf),
+                      (1.7e308, 1.6e308, 1e-9)]:
+        with pytest.raises(AccuracyLimitError, match="float range") as info:
+            norm_real(x, y, tol=tol)
+        assert info.value.interval is None
+
+
 @given(st.integers(min_value=-(2**200), max_value=2**200), st.integers(-60, 60))
 def test_from_int_contains_and_is_tight(n, e):
     lo, hi = _iv_from_int_pow2(n, e)
@@ -399,6 +409,20 @@ def test_ball_boundary_sample_is_nearly_convex():
     hull = oracles.convex_hull(pts)
     for pt in pts:
         assert oracles.dist_to_hull_boundary(pt, hull) <= 1e-9
+
+
+def test_ball_boundary_sample_matches_stable_norm_orbits():
+    for max_q in (1, 2, 7, 25):
+        seen = {}
+        for q in range(1, max_q + 1):
+            for p in range(q + 1):
+                if math.gcd(p, q) == 1:
+                    n = stable_norm((q, p))
+                    for g in SYMMETRY_GROUP:
+                        w = apply_symmetry(g, (q, p))
+                        seen[w] = (w[0] / n, w[1] / n)
+        expected = [seen[w] for w in sorted(seen, key=lambda w: math.atan2(w[1], w[0]))]
+        assert ball_boundary_sample(max_q) == expected
 
 
 def test_ball_boundary_sample_rejects_bad_bound():
