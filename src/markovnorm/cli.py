@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 from .conjectures import (
     FAMILIES,
+    _check_max_bound,
     _collect_by_value,
     verify_family,
     verify_theorem1_random,
@@ -29,6 +31,7 @@ from .indexing import (
     christoffel_matrix,
     christoffel_word,
     markov_of_slope,
+    markov_table,
     mat_trace,
     parse_slope,
     stern_brocot_path,
@@ -69,7 +72,9 @@ def cmd_verify(args) -> int:
         reports = [verify_theorem1_random(args.samples, tol=args.tol,
                                           seed=args.seed)]
     elif args.family == "all":
-        reports = [verify_family(f, args.max) for f in FAMILIES]
+        _check_max_bound(args.max)  # before the one table is built
+        table = markov_table(args.max)
+        reports = [verify_family(f, args.max, table) for f in FAMILIES]
     else:
         reports = [verify_family(args.family, args.max)]
     _emit(_json({
@@ -87,9 +92,7 @@ def cmd_verify(args) -> int:
 
 def _svg_ball(points, witness) -> str:
     fmt = lambda v: f"{v:.10f}"
-    coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
-    if points:
-        coords += f" {fmt(points[0][0])},{fmt(points[0][1])}"
+    coords = " ".join(["%.10f,%.10f" % xy for xy in points + points[:1]])
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">',
         '<g transform="scale(1,-1)">',
@@ -140,6 +143,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    if not math.isfinite(args.tol):  # the payload echoes it, and JSON has no inf
+        raise PreconditionViolatedError(f"--tol must be finite, got {args.tol!r}")
     try:
         if args.exact:
             try:
@@ -186,7 +191,7 @@ def cmd_count(args) -> int:
 def cmd_frobenius(args) -> int:
     bound = int(args.bound)
     found = _collect_by_value(bound)
-    duplicates = sorted(v for v, slopes in found.items() if len(slopes) > 1)
+    duplicates = sorted(v for v, n in found.items() if n > 1)
     payload = {"bound": str(bound),
                "duplicates": [str(v) for v in duplicates],
                "valueCount": len(found)}

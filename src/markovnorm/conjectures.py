@@ -80,7 +80,13 @@ def check_fixed_sum(p: int, q: int, i: int) -> bool:
     return _check_step("sum", p, q, i)
 
 
-def verify_family(family: str, max_bound: int) -> VerificationReport:
+def _check_max_bound(max_bound):
+    _require(isinstance(max_bound, int) and max_bound >= 2,
+             f"max_bound must be an integer >= 2, got {max_bound!r}")
+
+
+def verify_family(family: str, max_bound: int,
+                  table: dict[Slope, int] | None = None) -> VerificationReport:
     """Exhaustively decide every admissible (p, q, i) within the bound.
 
     Grouping slopes by the linear form dp q - dq p that the family's step
@@ -91,13 +97,14 @@ def verify_family(family: str, max_bound: int) -> VerificationReport:
     neighbours (< is transitive), so only neighbours are compared and
     ``cases`` counts the n(n-1)/2 pairs this decides.  A group that fails a
     neighbour check is rescanned pair by pair to list every violating
-    (p, q, i).
+    (p, q, i).  A caller checking several families passes the one
+    ``markov_table(max_bound)`` as ``table``; by default it is built here.
     """
     _require(family in FAMILIES, f"unknown family {family!r}")
-    _require(isinstance(max_bound, int) and max_bound >= 2,
-             f"max_bound must be an integer >= 2, got {max_bound!r}")
+    _check_max_bound(max_bound)
     t0 = time.perf_counter()
-    table = markov_table(max_bound)
+    if table is None:
+        table = markov_table(max_bound)
     dq, dp = _STEPS[family]
     groups: dict[int, list[Slope]] = {}
     for s in table:
@@ -132,11 +139,17 @@ def _norm_enclosure(x: float, y: float, tol: float):
         return ex.interval
 
 
-def _certify_less(a, b, tol: float) -> bool:
-    """Certify ||a|| < ||b|| by interval disjointness, refining up to 3 times."""
+def _certify_less(a, b, tol: float, a_norms: dict) -> bool:
+    """Certify ||a|| < ||b|| by interval disjointness, refining up to 3 times.
+
+    a_norms maps a tolerance to a's enclosure at it, so that comparisons of
+    one point with several others enclose that point once per tolerance.
+    """
     t = tol
     for _ in range(4):
-        na = _norm_enclosure(*a, tol=t)
+        if t not in a_norms:
+            a_norms[t] = _norm_enclosure(*a, tol=t)
+        na = a_norms[t]
         nb = _norm_enclosure(*b, tol=t)
         if na is not None and nb is not None and na.hi < nb.lo:
             return True
@@ -166,10 +179,11 @@ def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
              f"parts must be drawn from (1, 2, 3), got {parts!r}")
     if 3 in parts:
         _require(p < q, f"part 3 needs p < q, got q={q}, p={p}")
+    base_norms = {}
     for part in parts:
         dq, dp = _STEPS[FAMILIES[part - 1]]
         other = (q + dq * i, p + dp * i)
-        if other[1] < 0 or not _certify_less((q, p), other, tol):
+        if other[1] < 0 or not _certify_less((q, p), other, tol, base_norms):
             return CheckResult.INCONCLUSIVE
     return CheckResult.CERTIFIED
 
@@ -209,18 +223,18 @@ def frobenius_scan(value_bound: int) -> list[int]:
     An empty list means every number found so far is the largest entry of
     exactly one triple.  This is a scan, not a proof.
     """
-    return sorted(v for v, slopes in _collect_by_value(value_bound).items()
-                  if len(slopes) > 1)
+    return sorted(v for v, n in _collect_by_value(value_bound).items() if n > 1)
 
 
-def _collect_by_value(value_bound: int) -> dict[int, list[Slope]]:
+def _collect_by_value(value_bound: int) -> dict[int, int]:
+    """How many slopes index each Markov number <= value_bound."""
     _require(isinstance(value_bound, int) and value_bound >= 1,
              f"value_bound must be an integer >= 1, got {value_bound!r}")
-    found: dict[int, list[Slope]] = {1: [Slope(0, 1)]}
+    found = {1: 1}  # 0/1
     if value_bound >= 2:
-        found[2] = [Slope(1, 1)]
+        found[2] = 1  # 1/1
     walk = farey_walk(lambda node: node[2][2] <= value_bound)
-    for (_, _, ml), (_, _, mr), (pm, qm, mm) in walk:
+    for (_, _, ml), (_, _, mr), (_, _, mm) in walk:
         assert ml * ml + mr * mr + mm * mm == 3 * ml * mr * mm
-        found.setdefault(mm, []).append(Slope(pm, qm))
+        found[mm] = found.get(mm, 0) + 1
     return found

@@ -10,6 +10,7 @@ bijection, so the triple count and the slope count are one walk.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import PreconditionViolatedError
@@ -55,8 +56,16 @@ def fit_constant(schedule: list[int]) -> list[CountPoint]:
                 f"schedule entries must be integers >= 2, got {R!r}")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise PreconditionViolatedError("schedule must be strictly increasing")
+    # One walk to the largest bound: a node of value m counts for every
+    # bound R >= m, so it is tallied at the first of them and the tallies
+    # are summed in order.
+    top = schedule[-1]
+    tally = [0] * len(schedule)
+    for _, _, (_, _, m) in farey_walk(lambda node: node[2][2] <= top):
+        tally[bisect_left(schedule, m)] += 1
     points = []
-    for R in schedule:
-        n = count_triples(R)
+    n = 2  # (1,1,1) and (1,1,2): every bound is >= 2
+    for R, k in zip(schedule, tally):
+        n += k
         points.append(CountPoint(R, n, n / math.log(R) ** 2))
     return points

@@ -244,11 +244,14 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
             (qd - pd, 2, n6, h6, _iv_from_int_pow2(qd - pd, -j))]
     outs = [(b0, (0.0, 0.0)), (b0, iv_sub(n6, n15))]  # O = (1, -1) and (1, 2)
     m_med = 5
-    try:  # a conservative tolerance for the unscaled direction enclosure
-        scale = _iv_from_int_pow2(g, j - k)[1]
-    except OverflowError:
-        scale = math.inf
-    scaled_tol = 0.9 * tol / scale if 0.0 < scale < math.inf else 0.0
+    # The norm is the scale g 2**(j - k) times the norm of the direction
+    # (qd, pd) 2**-j.  The scale stays in the float range: cq 2**-k <= |x| +
+    # |y|, and qd > 512 makes j >= 2 and qd 2**-j >= 128.  The norm leaves it
+    # once a lower bound times the scale's lower end rounds to inf.  That is
+    # checked at every bound, the first made before any run, since _finish
+    # would raise the same error only after the whole descent.
+    scale_lo, scale = _iv_from_int_pow2(g, j - k)
+    scaled_tol = 0.9 * tol / scale  # conservative, for the direction's enclosure
 
     best = (0.0, math.inf)
     runs = _runs(pd, qd)
@@ -265,6 +268,8 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         (bl, dl), (br, dr) = outs
         merge(max(_dot_lo(bl, nl, al, dl), _dot_lo(br, nr, ar, dr), 0.0),
               _dot_hi(ar, nl, al, nr))
+        if best[0] * scale_lo == math.inf:
+            raise AccuracyLimitError("norm exceeds float range")
         if best[1] - best[0] <= scaled_tol:
             reason = "tolerance"
             break
@@ -318,17 +323,29 @@ _SMALL_TRACES.update({3 * m: _norm_parts(3 * m) for m in [1, 2] + [
 _START = [_SMALL_TRACES[t] for t in (3, 6, 15)]  # at (1, 0), (1, 1) and (1, 2)
 
 
+# The symmetries in the angular order of the sectors they map the cone onto,
+# read off the image of the interior ray (2, 1).
+_SECTORS = sorted(SYMMETRY_GROUP, key=lambda g: math.atan2(2 * g[2] + g[3], 2 * g[0] + g[1]))
+
+
 def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:
     """Points v / ||v|| for every primitive v with cone denominator <= max_q.
 
-    The full symmetry orbit is emitted, deduplicated, sorted by angle.
-    Raises OutOfRangeError when max_q < 1.
+    The full symmetry orbit is emitted, deduplicated, sorted by angle in
+    (-pi, pi].  Raises OutOfRangeError when max_q < 1.
+
+    The cone is sorted once, by p/q.  That float key keeps the order of the
+    fractions: two with q <= 2**26 differ by at least 2**-52, more than the
+    rounding of both, and no table anywhere near that size can be built.
+    Each symmetry maps the sorted cone onto its sector in angular order,
+    reversed when its determinant is -1, and the sectors are taken in turn.
     """
-    seen = {}
-    for (p, q), m in markov_table(max_q).items():
-        n = _acosh_half_float(3 * m)  # stable_norm((q, p))
-        for g in SYMMETRY_GROUP:
-            w = apply_symmetry(g, (q, p))
-            if w not in seen:
-                seen[w] = (w[0] / n, w[1] / n)
-    return [seen[w] for w in sorted(seen, key=lambda w: math.atan2(w[1], w[0]))]
+    cone = [(q, p, _acosh_half_float(3 * m))  # n = stable_norm((q, p))
+            for (p, q), m in sorted(markov_table(max_q).items(),
+                                    key=lambda item: item[0].p / item[0].q)]
+    points = []
+    for a, b, c, d in _SECTORS:
+        # Drop the sector's start ray: the previous sector ends on it.
+        sector = cone[1:] if a * d - b * c == 1 else cone[-2::-1]
+        points += [((a * q + b * p) / n, (c * q + d * p) / n) for q, p, n in sector]
+    return points

@@ -9,12 +9,9 @@ has exactly two distinct children.
 
 from __future__ import annotations
 
-import logging
 from typing import Iterator, NamedTuple
 
-from .errors import NotMarkovError, OutOfRangeError
-
-log = logging.getLogger(__name__)
+from .errors import InternalInconsistencyError, NotMarkovError, OutOfRangeError
 
 ROOT = (1, 1, 1)
 SPINE = ((1, 1, 1), (1, 1, 2))
@@ -64,13 +61,14 @@ def as_ordered(t) -> OrderedTriple:
 
     Repeated entries only occur on the spine triples (1,1,1) and (1,1,2);
     a repeat anywhere else would contradict uniqueness of the tree labels,
-    so it is logged loudly rather than silently ordered.
+    so it raises InternalInconsistencyError rather than being ordered.
     """
     if not is_markov(t):
         raise NotMarkovError(f"not a Markov triple: {t!r}")
     s = OrderedTriple(*sorted(t))
     if len(set(s)) < 3 and s not in SPINE:
-        log.error("unexpected repeated entry in Markov triple %r", s)
+        raise InternalInconsistencyError(
+            f"unexpected repeated entry in Markov triple {tuple(s)!r}")
     return s
 
 

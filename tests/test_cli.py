@@ -168,6 +168,15 @@ def test_norm_beyond_float_range(capsys):
     assert err.startswith("markovnorm: norm exceeds float range\n")
 
 
+def test_norm_rejects_a_non_finite_tol(capsys):
+    # The payload echoes --tol, and JSON has no Infinity or NaN.
+    for argv in (["3", "2"], ["--exact", "3", "2"]):
+        for tol in ("inf", "-inf", "nan"):
+            code, out, err = run(capsys, "norm", *argv, f"--tol={tol}")
+            assert code == 2 and out == ""
+            assert err.startswith("markovnorm: error:")
+
+
 def test_norm_exact_beyond_float_range(capsys):
     code, out, err = run(capsys, "norm", "--exact", str(10**400), "0")
     assert code == 1

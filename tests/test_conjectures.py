@@ -106,6 +106,24 @@ SWAPS = {
 }
 
 
+@pytest.mark.parametrize("bound", [2, 60, 150])
+def test_verify_family_on_a_shared_table_matches_its_own(bound):
+    # verify all hands one table to the three families in turn.
+    table = markov_table(bound)
+    for family in FAMILIES:
+        shared = verify_family(family, bound, table)
+        own = verify_family(family, bound)
+        assert (shared.cases, shared.violations) == (own.cases, own.violations)
+    assert table == markov_table(bound)
+
+
+def test_verify_family_reads_the_table_it_is_given():
+    _, _, (a, b) = SWAPS["numerator"]
+    table = markov_table(30)
+    table[a], table[b] = table[b], table[a]
+    assert (2, 5, 8) in verify_family("numerator", 30, table).violations
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_verify_family_lists_all_pair_violations(monkeypatch, family):
     # Real tables never fail a neighbour check, so break one group.
@@ -155,12 +173,21 @@ def test_theorem1_certifies_real_cases():
 def test_theorem1_parts_step_in_their_family_direction(monkeypatch):
     compared = []
     monkeypatch.setattr(conjectures, "_certify_less",
-                        lambda a, b, tol: compared.append((a, b)) or True)
+                        lambda a, b, tol, a_norms: compared.append((a, b)) or True)
     for part in (1, 2, 3):
         theorem1_check_real(10.0, 3.0, 2.0, parts=(part,))
     theorem1_check_real(10.0, 3.0, 2.0)
     steps = [(12.0, 3.0), (10.0, 5.0), (12.0, 1.0)]
     assert compared == [((10.0, 3.0), b) for b in steps + steps]
+
+
+def test_theorem1_encloses_the_base_point_once_per_tolerance(monkeypatch):
+    calls = []
+    real = conjectures.norm_real
+    monkeypatch.setattr(conjectures, "norm_real",
+                        lambda x, y, tol: calls.append((x, y)) or real(x, y, tol=tol))
+    assert theorem1_check_real(10.0, 3.0, 2.0) is CheckResult.CERTIFIED
+    assert calls == [(10.0, 3.0), (12.0, 3.0), (10.0, 5.0), (12.0, 1.0)]
 
 
 def test_theorem1_part3_requires_descending_room():

@@ -62,6 +62,15 @@ def test_fit_constant_definition():
     ]
 
 
+def test_fit_constant_counts_equal_count_triples():
+    # 2, 5 and 13 are Markov numbers: a value equal to a bound counts for
+    # that bound, not the next.
+    schedule = [2, 4, 5, 13, 14, 10**30]
+    points = fit_constant(schedule)
+    assert [pt.bound for pt in points] == schedule
+    assert [pt.count for pt in points] == [count_triples(R) for R in schedule]
+
+
 def test_fit_constant_drift_shrinks():
     points = fit_constant([10**3, 10**6, 10**9, 10**12])
     cs = [pt.c_estimate for pt in points]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import markovnorm.intervals
+import markovnorm.norm
 import oracles
 from markovnorm import (
     SYMMETRY_GROUP,
@@ -170,6 +171,18 @@ def test_norm_real_beyond_float_range_raises():
         with pytest.raises(AccuracyLimitError, match="float range") as info:
             norm_real(x, y, tol=tol)
         assert info.value.interval is None
+
+
+def test_norm_real_beyond_float_range_raises_before_the_descent(monkeypatch):
+    runs = []
+    real = markovnorm.norm._recurrence_run
+    monkeypatch.setattr(markovnorm.norm, "_recurrence_run",
+                        lambda *args: runs.append(args) or real(*args))
+    with pytest.raises(AccuracyLimitError, match="float range"):
+        norm_real(1.7e308, 1.6e308)
+    assert runs == []
+    norm_real(1.7, 1.6)  # the same direction in range does descend
+    assert runs
 
 
 @given(st.integers(min_value=-(2**200), max_value=2**200), st.integers(-60, 60))
@@ -412,7 +425,7 @@ def test_ball_boundary_sample_is_nearly_convex():
 
 
 def test_ball_boundary_sample_matches_stable_norm_orbits():
-    for max_q in (1, 2, 7, 25):
+    for max_q in (1, 2, 7, 25, 60):
         seen = {}
         for q in range(1, max_q + 1):
             for p in range(q + 1):

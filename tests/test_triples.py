@@ -5,11 +5,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import markovnorm.triples as triples
 import oracles
 from markovnorm import (
     BINARY_ROOT,
     ROOT,
     SPINE,
+    InternalInconsistencyError,
     NotMarkovError,
     OrderedTriple,
     OutOfRangeError,
@@ -167,6 +169,14 @@ def test_as_ordered_sorts_and_validates():
         as_ordered((0, 1, 1))
     with pytest.raises(NotMarkovError):
         as_ordered((-1, 2, 5))
+
+
+def test_as_ordered_raises_on_a_repeat_off_the_spine(monkeypatch):
+    # Only (1,1,1) and (1,1,2) repeat an entry, so let a non-solution through.
+    monkeypatch.setattr(triples, "is_markov", lambda t: True)
+    assert as_ordered((1, 2, 1)) == OrderedTriple(1, 1, 2)
+    with pytest.raises(InternalInconsistencyError, match="repeated entry"):
+        as_ordered((2, 5, 2))
 
 
 def test_vieta_flip_rejects_bad_input():
