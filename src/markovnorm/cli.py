@@ -115,30 +115,38 @@ def _svg_ball(points, witness) -> str:
 
 
 def cmd_ball(args) -> int:
+    witness = None
+    if args.witness is not None:  # usage errors before the sample is built
+        if args.format == "csv":
+            raise PreconditionViolatedError("--witness requires --format svg")
+        try:
+            wq, wp = (int(v) for v in args.witness.split(","))
+        except ValueError:
+            raise PreconditionViolatedError(
+                f"--witness expects Q,P integers, got {args.witness!r}") from None
+        if (wq, wp) == (0, 0):
+            raise PreconditionViolatedError("--witness must be nonzero")
+        witness = (wq, wp)
     points = ball_boundary_sample(args.max_q)
     if args.format == "csv":
-        if args.witness is not None:
-            raise PreconditionViolatedError("--witness requires --format svg")
         _emit("".join(f"{x!r},{y!r}\n" for x, y in points), args.out)
     else:
-        witness = None
-        if args.witness is not None:
-            try:
-                wq, wp = (int(v) for v in args.witness.split(","))
-            except ValueError:
-                raise PreconditionViolatedError(
-                    f"--witness expects Q,P integers, got {args.witness!r}") from None
-            if (wq, wp) == (0, 0):
-                raise PreconditionViolatedError("--witness must be nonzero")
-            witness = (wq, wp)
         _emit(_svg_ball(points, witness), args.out)
     return 0
 
 
+# tree writes its document node by node.  Each node is laid out as _json
+# lays it out at its depth; paths are L/R only and entries decimal digits,
+# so the "%s" and "%d" fields need no escaping.
+_TREE_NODE = "\n".join("    " + line for line in
+                       _json({"path": "%s", "triple": ["%d"] * 3}).splitlines())
+
+
 def cmd_tree(args) -> int:
-    nodes = [{"path": path, "triple": [str(v) for v in triple]}
-             for path, triple in enumerate_tree(args.depth)]
-    _emit(_json({"depth": args.depth, "nodes": nodes}), args.out)
+    nodes = ",\n".join([_TREE_NODE % (path, a, b, c)
+                        for path, (a, b, c) in enumerate_tree(args.depth)])
+    _emit('{\n  "depth": %d,\n  "nodes": [\n%s\n  ]\n}\n' % (args.depth, nodes),
+          args.out)
     return 0
 
 
@@ -190,13 +198,12 @@ def cmd_count(args) -> int:
 
 def cmd_frobenius(args) -> int:
     bound = int(args.bound)
-    found = _collect_by_value(bound)
-    duplicates = sorted(v for v, n in found.items() if n > 1)
+    distinct, duplicates = _collect_by_value(bound)
     payload = {"bound": str(bound),
                "duplicates": [str(v) for v in duplicates],
-               "valueCount": len(found)}
+               "valueCount": len(distinct)}
     if args.list:
-        payload["markovNumbers"] = [str(v) for v in sorted(found)]
+        payload["markovNumbers"] = [str(v) for v in distinct]
     _emit(_json(payload), args.out)
     return 0 if not duplicates else 1
 

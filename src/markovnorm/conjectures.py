@@ -22,8 +22,9 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import AccuracyLimitError, PreconditionViolatedError
-from .indexing import Slope, farey_walk, markov_of_slope, markov_table
+from .indexing import Slope, markov_of_slope, markov_table
 from .norm import NormInterval, norm_real
+from .triples import _walk_values
 
 # Each family is a lattice step (dq, dp) in (q, p) coordinates: it compares the
 # norm at (q, p) with the norm at (q + i dq, p + i dp) for i > 0.
@@ -214,7 +215,7 @@ def verify_theorem1_random(samples: int, scale: float = 50.0,
 
 def markov_numbers_up_to(value_bound: int) -> list[int]:
     """Sorted list of the distinct Markov numbers <= value_bound."""
-    return sorted(_collect_by_value(value_bound))
+    return _collect_by_value(value_bound)[0]
 
 
 def frobenius_scan(value_bound: int) -> list[int]:
@@ -223,18 +224,19 @@ def frobenius_scan(value_bound: int) -> list[int]:
     An empty list means every number found so far is the largest entry of
     exactly one triple.  This is a scan, not a proof.
     """
-    return sorted(v for v, n in _collect_by_value(value_bound).items() if n > 1)
+    return _collect_by_value(value_bound)[1]
 
 
-def _collect_by_value(value_bound: int) -> dict[int, int]:
-    """How many slopes index each Markov number <= value_bound."""
+def _collect_by_value(value_bound: int) -> tuple[list[int], list[int]]:
+    """Sorted lists of the distinct Markov numbers <= value_bound and of
+    those indexed by more than one slope, which sort into equal neighbours."""
     _require(isinstance(value_bound, int) and value_bound >= 1,
              f"value_bound must be an integer >= 1, got {value_bound!r}")
-    found = {1: 1}  # 0/1
-    if value_bound >= 2:
-        found[2] = 1  # 1/1
-    walk = farey_walk(lambda node: node[2][2] <= value_bound)
-    for (_, _, ml), (_, _, mr), (_, _, mm) in walk:
+    found = [1, 2] if value_bound >= 2 else [1]  # 0/1 and 1/1
+    for ml, mr, mm in _walk_values(value_bound):
         assert ml * ml + mr * mr + mm * mm == 3 * ml * mr * mm
-        found[mm] = found.get(mm, 0) + 1
-    return found
+        found.append(mm)
+    found.sort()
+    repeated = (a for a, b in zip(found, found[1:]) if a == b)
+    return ([v for v, _ in itertools.groupby(found)],
+            [v for v, _ in itertools.groupby(repeated)])

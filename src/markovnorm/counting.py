@@ -1,10 +1,10 @@
 """Counting Markov triples below a bound and fitting the growth constant.
 
 The number of triples with largest entry at most R grows like C (ln R)^2.
-Counting walks the Farey tree with exact Markov numbers and prunes as soon
-as a node's value exceeds the bound, which is valid because the value
-strictly increases from a node to its children.  Triples and slopes are in
-bijection, so the triple count and the slope count are one walk.
+Counting walks the triple tree (the Farey tree without slope labels) and
+prunes once a node's largest entry exceeds the bound, which is valid because
+it strictly increases from a node to its children.  Triples and slopes are
+in bijection, so the triple count and the slope count are one walk.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import PreconditionViolatedError
-from .indexing import farey_walk
+from .triples import _walk_values
 
 
 class CountPoint(NamedTuple):
@@ -33,7 +33,7 @@ def count_triples(R: int) -> int:
     _require_bound(R)
     # (1,1,1) and (1,1,2), then one triple per walked node.
     count = 1 + (1 if R >= 2 else 0)
-    return count + sum(1 for _ in farey_walk(lambda node: node[2][2] <= R))
+    return count + sum(1 for _ in _walk_values(R))
 
 
 def count_lattice(R: int) -> int:
@@ -61,7 +61,7 @@ def fit_constant(schedule: list[int]) -> list[CountPoint]:
     # are summed in order.
     top = schedule[-1]
     tally = [0] * len(schedule)
-    for _, _, (_, _, m) in farey_walk(lambda node: node[2][2] <= top):
+    for _, _, m in _walk_values(top):
         tally[bisect_left(schedule, m)] += 1
     points = []
     n = 2  # (1,1,1) and (1,1,2): every bound is >= 2

@@ -15,8 +15,9 @@ runs from ``_runs``, which ``stern_brocot_path`` and the norm sandwich share;
 the trace route finds its own by Euclid's algorithm.
 
 They must agree everywhere; tests and the acceptance gate compare them.
-``farey_walk`` is the one pruned depth-first walk of the Farey tree with
-its Markov numbers; tables, the value scan and the counters all use it.
+``markov_table`` walks the Farey tree with its slope labels, pruned by
+denominator; the scans pruned by value drop the labels and walk the same
+tree as triples (``triples._walk_values``).
 """
 
 from __future__ import annotations
@@ -128,33 +129,26 @@ def _recurrence_run(fixed: int, prev: int, cur: int, k: int):
     return a * prev + b * cur, c * prev + d * cur
 
 
-def farey_walk(keep):
-    """Depth-first walk over the interior Farey nodes of (0, 1).
-
-    Each node is ((pl, ql, ml), (pr, qr, mr), (pm, qm, mm)): the left and
-    right endpoints and their mediant, each with its Markov number.  A node
-    for which keep(node) is false is neither yielded nor expanded, so its
-    whole subtree is pruned.  The right child is popped first.
-    """
-    stack = [((0, 1, 1), (1, 1, 2), (1, 2, 5))]
-    while stack:
-        node = stack.pop()
-        if not keep(node):
-            continue
-        yield node
-        left, right, mid = node
-        (pl, ql, ml), (pr, qr, mr), (pm, qm, mm) = node
-        stack.append((left, mid, (pl + pm, ql + qm, 3 * ml * mm - mr)))
-        stack.append((mid, right, (pm + pr, qm + qr, 3 * mm * mr - ml)))
-
-
 def markov_table(max_q: int) -> dict[Slope, int]:
-    """Markov numbers of every reduced p/q with q <= max_q, one pruned walk."""
+    """Markov numbers of every reduced p/q with q <= max_q.
+
+    A depth-first walk of the Farey nodes of (0, 1), each node its left end,
+    right end and mediant as (p, q, m); only children with q <= max_q are
+    pushed, and the right child is popped first.
+    """
     if max_q < 1:
         raise OutOfRangeError(f"max_q must be >= 1, got {max_q!r}")
     table = {Slope(0, 1): 1, Slope(1, 1): 2}
-    for _, _, (pm, qm, mm) in farey_walk(lambda node: node[2][1] <= max_q):
+    stack = [((0, 1, 1), (1, 1, 2), (1, 2, 5))] if max_q >= 2 else []
+    while stack:
+        node = stack.pop()
+        left, right, mid = node
+        (pl, ql, ml), (pr, qr, mr), (pm, qm, mm) = node
         table[Slope(pm, qm)] = mm
+        if ql + qm <= max_q:
+            stack.append((left, mid, (pl + pm, ql + qm, 3 * ml * mm - mr)))
+        if qm + qr <= max_q:
+            stack.append((mid, right, (pm + pr, qm + qr, 3 * mm * mr - ml)))
     return table
 
 

@@ -28,7 +28,6 @@ from .errors import (
 from .indexing import (
     _recurrence_run,
     _runs,
-    farey_walk,
     markov_of_slope,
     markov_table,
     mat_mul,
@@ -46,6 +45,7 @@ from .intervals import (
     iv_mul,
     iv_sub,
 )
+from .triples import _walk_values
 
 class NormInterval(NamedTuple):
     lo: float
@@ -319,7 +319,7 @@ def _norm_parts(t: int):
 # iv_acosh_minus_log, so after import norm_real runs no exp, sqrt or log1p.
 _SMALL_TRACES = {}
 _SMALL_TRACES.update({3 * m: _norm_parts(3 * m) for m in [1, 2] + [
-    mid[2] for _, _, mid in farey_walk(lambda node: 3 * node[2][2] < 1 << 31)]})
+    w for _, _, w in _walk_values(((1 << 31) - 1) // 3)]})
 _START = [_SMALL_TRACES[t] for t in (3, 6, 15)]  # at (1, 0), (1, 1) and (1, 2)
 
 

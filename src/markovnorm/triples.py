@@ -99,6 +99,26 @@ def _oriented_children(node):
     return (u, w, 3 * u * w - v), (w, v, 3 * v * w - u)
 
 
+def _walk_values(bound: int):
+    """Oriented nodes (u, v, w) from (1,2,5) down with w <= bound, depth first.
+
+    The Farey walk without its slope labels, by ``_oriented_children``'s rule.
+    w grows from a node to its children, so only children within the bound
+    are pushed; the right child is popped first.
+    """
+    stack = [BINARY_ROOT] if bound >= 5 else []
+    while stack:
+        node = stack.pop()
+        yield node
+        u, v, w = node
+        left = 3 * u * w - v
+        if left <= bound:
+            stack.append((u, w, left))
+        right = 3 * v * w - u
+        if right <= bound:
+            stack.append((w, v, right))
+
+
 def _orient(target: OrderedTriple):
     """Walk the oriented tree from (1,2,5) down to ``target``.
 
@@ -167,10 +187,12 @@ def enumerate_tree(depth: int) -> Iterator[tuple[str, OrderedTriple]]:
     """
     if depth < 0:
         raise OutOfRangeError(f"depth must be >= 0, got {depth!r}")
+    # In an oriented node (u, v, w) the mediant w is the largest entry: it
+    # is at (1,2,5), and 3uw - v > w and 3vw - u > w below it.
     level = [("", BINARY_ROOT)]
     for d in range(depth + 1):
-        for path, node in level:
-            yield path, OrderedTriple(*sorted(node))
+        for path, (u, v, w) in level:
+            yield path, OrderedTriple(u, v, w) if u < v else OrderedTriple(v, u, w)
         if d == depth:
             return
         nxt = []

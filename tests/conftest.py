@@ -41,3 +41,18 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+@pytest.fixture
+def walk_repeats_29(monkeypatch):
+    """The value walk yields the node (5, 2, 29) of slope 2/3 a second time,
+    a duplicate no real input produces."""
+    import markovnorm.conjectures as conjectures
+
+    real_walk = conjectures._walk_values
+
+    def walk_with_a_repeat(bound):
+        yield from real_walk(bound)
+        yield (5, 2, 29)
+
+    monkeypatch.setattr(conjectures, "_walk_values", walk_with_a_repeat)

@@ -13,11 +13,13 @@ import sys
 import pytest
 
 from markovnorm import (
+    enumerate_tree,
     markov_numbers_up_to,
     markov_of_slope_via_trace,
     stable_norm,
     verify_family,
 )
+import markovnorm.cli as cli
 from markovnorm.cli import main
 
 
@@ -121,6 +123,16 @@ def test_tree(capsys):
     assert nodes[-1]["triple"] == ["2", "29", "169"]
 
 
+@pytest.mark.parametrize("depth", range(10))
+def test_tree_document_is_the_json_dump(capsys, depth):
+    payload = {"depth": depth, "nodes": [
+        {"path": path, "triple": [str(v) for v in sorted(t)]}
+        for path, t in enumerate_tree(depth)]}
+    code, out, _ = run(capsys, "tree", "--depth", str(depth))
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_norm_exact_and_float_agree(capsys):
     code, exact, _ = run_json(capsys, "norm", "--exact", "5", "3")
     assert code == 0
@@ -207,6 +219,15 @@ def test_frobenius_list(capsys):
     assert payload["markovNumbers"] == [str(m) for m in markov_numbers_up_to(1000)]
 
 
+def test_frobenius_reports_a_value_the_walk_yields_twice(capsys, walk_repeats_29):
+    code, payload, _ = run_json(
+        capsys, "frobenius", "--bound", "1000", "--list")
+    assert code == 1
+    assert payload["duplicates"] == ["29"]
+    assert payload["valueCount"] == 13
+    assert payload["markovNumbers"].count("29") == 1
+
+
 def test_ball_csv(capsys):
     code, out, _ = run(capsys, "ball", "--max-q", "1")
     assert code == 0
@@ -229,6 +250,22 @@ def test_ball_svg_witness(capsys):
 def test_ball_witness_requires_svg(capsys):
     code, out, err = run(capsys, "ball", "--max-q", "2", "--witness", "2,1")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "csv", "--witness", "1,1"),
+    ("--witness", "1,1"),
+    ("--format", "svg", "--witness", "1,x"),
+    ("--format", "svg", "--witness", "1,2,3"),
+    ("--format", "svg", "--witness", "0,0"),
+])
+def test_ball_usage_errors_return_before_the_sample(capsys, monkeypatch, argv):
+    def sample(max_q):
+        raise AssertionError("ball_boundary_sample called")
+
+    monkeypatch.setattr(cli, "ball_boundary_sample", sample)
+    code, out, err = run(capsys, "ball", "--max-q", "400", *argv)
+    assert code == 2 and out == "" and "--witness" in err
 
 
 def test_out_flag_writes_stdout_payload(capsys, tmp_path):

@@ -250,3 +250,9 @@ def test_frobenius_scan_finds_no_duplicates():
 def test_frobenius_scan_rejects_bad_bound():
     with pytest.raises(PreconditionViolatedError):
         frobenius_scan(0)
+
+
+def test_frobenius_scan_reports_a_value_the_walk_yields_twice(walk_repeats_29):
+    assert frobenius_scan(1000) == [29]
+    assert markov_numbers_up_to(1000) == [
+        1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610, 985]

@@ -20,6 +20,7 @@ from markovnorm import (
     cubic_defect,
     enumerate_tree,
     is_markov,
+    markov_of_slope,
     reduce_to_root,
     reduction_chain,
     vieta_flip,
@@ -149,6 +150,31 @@ def test_enumerate_tree_matches_quadratic_search(brute_1e4):
     from_tree = {tuple(t) for _, t in enumerate_tree(12) if t.max <= 10**4}
     from_tree.update(s for s in [(1, 1, 1), (1, 1, 2)])
     assert from_tree == set(brute_1e4)
+
+
+def test_enumerate_tree_yields_ascending_triples():
+    for _, t in enumerate_tree(10):
+        assert list(t) == sorted(t)
+
+
+def _slope_labelled_walk(bound):
+    """(m(left end), m(right end), m(mediant)) of every Farey node whose
+    mediant value is <= bound, walked on slope labels with markov_of_slope."""
+    out = []
+    stack = [((0, 1), (1, 1))]
+    while stack:
+        lo, hi = stack.pop()
+        mid = (lo[0] + hi[0], lo[1] + hi[1])
+        m = markov_of_slope(*mid)
+        if m <= bound:
+            out.append((markov_of_slope(*lo), markov_of_slope(*hi), m))
+            stack += [(lo, mid), (mid, hi)]
+    return out
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 13, 10**6, 10**40])
+def test_walk_values_is_the_slope_labelled_walk(bound):
+    assert sorted(triples._walk_values(bound)) == sorted(_slope_labelled_walk(bound))
 
 
 def test_ordering_gap_on_proper_nodes():
