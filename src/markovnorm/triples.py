@@ -4,7 +4,8 @@ A Markov triple is a positive integer solution of x^2 + y^2 + z^2 = 3xyz.
 Each coordinate can be flipped to the other root of its quadratic, which
 organises all solutions into a tree: (1,1,1) -> (1,1,2) -> (1,2,5) is a
 singular spine (the flips there coincide), and below (1,2,5) every triple
-has exactly two distinct children.
+has exactly two distinct children. Reduction to the root is one upward
+pass of max flips, whose smallest entries spell the node's tree path.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def as_ordered(t) -> OrderedTriple:
 def _flip_max(o: OrderedTriple) -> OrderedTriple:
     """Parent of an ordered triple: flip the largest coordinate down."""
     d = 3 * o.small * o.mid - o.max
-    return OrderedTriple(*sorted((o.small, o.mid, d)))
+    # The child's middle entry is its parent's largest.
+    return OrderedTriple(min(o.small, d), max(o.small, d), o.mid)
 
 
 def reduction_chain(t) -> list[OrderedTriple]:
@@ -87,7 +89,7 @@ def reduction_chain(t) -> list[OrderedTriple]:
     o = as_ordered(t)
     chain = [o]
     while o != ROOT:
-        assert o == (1, 1, 2) or 3 * o.small * o.mid < 2 * o.max, o
+        assert 3 * o.small * o.mid < 2 * o.max, o
         o = _flip_max(o)
         chain.append(o)
     return chain
@@ -120,27 +122,20 @@ def _walk_values(bound: int):
 
 
 def _orient(target: OrderedTriple):
-    """Walk the oriented tree from (1,2,5) down to ``target``.
+    """Letters below (1,2,5) and the oriented form (u, v, w) of ``target``.
 
-    Returns (letters, node) where letters are the L/R choices below the
-    binary root and node is the oriented form of ``target``.
+    A child's smallest entry is the one it kept from its parent, and it is
+    the left child exactly when that is its parent's left entry u, the
+    smaller entry at (1,2,5) and at a left child, the larger at a right one.
     """
-    chain = reduction_chain(target)
-    if OrderedTriple(*BINARY_ROOT) not in chain:
-        raise NotMarkovError(f"triple {target!r} does not reduce through (1,2,5)")
-    descent = list(reversed(chain[: chain.index(OrderedTriple(*BINARY_ROOT)) + 1]))
-    node = BINARY_ROOT
+    descent = reduction_chain(target)[-3::-1]
     letters = []
-    for step in descent[1:]:
-        left, right = _oriented_children(node)
-        if tuple(sorted(left)) == step:
-            node, letter = left, "L"
-        elif tuple(sorted(right)) == step:
-            node, letter = right, "R"
-        else:
-            raise NotMarkovError(f"reduction step {step!r} is not a child of {node!r}")
-        letters.append(letter)
-    return letters, node
+    left = True
+    for parent, child in zip(descent, descent[1:]):
+        left = (child.small == parent.small) == left
+        letters.append("L" if left else "R")
+    a, b, c = target
+    return letters, (a, b, c) if left else (b, a, c)
 
 
 def reduce_to_root(t) -> str:
@@ -174,8 +169,9 @@ def children(t) -> tuple[OrderedTriple, ...]:
     if o == (1, 1, 2):
         return (OrderedTriple(1, 2, 5),)
     _, node = _orient(o)
-    left, right = _oriented_children(node)
-    return (OrderedTriple(*sorted(left)), OrderedTriple(*sorted(right)))
+    # w is each child's middle entry: (u, w, .) is ascending, (w, v, .) is not.
+    left, (w, v, right_max) = _oriented_children(node)
+    return OrderedTriple(*left), OrderedTriple(v, w, right_max)
 
 
 def enumerate_tree(depth: int) -> Iterator[tuple[str, OrderedTriple]]:

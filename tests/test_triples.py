@@ -1,6 +1,7 @@
 """Tests for exact triple arithmetic and the tree walk."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,7 @@ from markovnorm import (
     markov_of_slope,
     reduce_to_root,
     reduction_chain,
+    stern_brocot_path,
     vieta_flip,
 )
 
@@ -212,3 +214,39 @@ def test_vieta_flip_rejects_bad_input():
         vieta_flip((1, 2, 5), 0)
     with pytest.raises(NotMarkovError):
         vieta_flip((1, 2, 6), 1)
+
+
+def _farey_parents(p, q):
+    """The Stern-Brocot parents lo < p/q < hi of an interior slope, as (p, q)."""
+    b = pow(p, -1, q)  # p*b - a*q == 1 with 0 < b < q
+    a = (p * b - 1) // q
+    return (a, b), (p - a, q - b)
+
+
+def test_reduce_to_root_is_the_stern_brocot_path():
+    # The triple tree and the Farey tree of slopes are one tree: the triple
+    # of m at p/q's two Farey parents and at p/q sits at p/q's path.
+    slopes = [(p, q) for q in range(2, 41) for p in range(1, q) if math.gcd(p, q) == 1]
+    assert len(slopes) == 489
+    for p, q in slopes:
+        lo, hi = _farey_parents(p, q)
+        t = (markov_of_slope(*lo), markov_of_slope(*hi), markov_of_slope(p, q))
+        assert reduce_to_root(t) == "LL" + stern_brocot_path(p, q)
+        assert as_ordered(t).max == markov_of_slope(p, q)
+
+
+def _oriented_node(path):
+    """The oriented node (u, v, w) at ``path``, built by the child rule alone."""
+    node = BINARY_ROOT
+    for step in path:
+        node = triples._oriented_children(node)[step == "R"]
+    return node
+
+
+@pytest.mark.parametrize("path", ["L" * 500, "R" * 2000, ("L" * 30 + "R") * 3, "LR" * 8],
+                         ids=["L500", "R2000", "L30R-x3", "LR-x8"])
+def test_deep_nodes_reduce_and_branch(path):
+    node = _oriented_node(path)
+    assert reduce_to_root(node) == "LL" + path
+    left, right = triples._oriented_children(node)
+    assert children(node) == (OrderedTriple(*sorted(left)), OrderedTriple(*sorted(right)))
