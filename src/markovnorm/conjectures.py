@@ -30,6 +30,7 @@ from .triples import _walk_values
 # norm at (q, p) with the norm at (q + i dq, p + i dp) for i > 0.
 _STEPS = {"numerator": (1, 0), "denominator": (0, 1), "sum": (1, -1)}
 FAMILIES = tuple(_STEPS)
+_SAMPLE_SCALE = 50.0  # verify_theorem1_random's bound on q and i
 
 
 class VerificationReport(NamedTuple):
@@ -189,13 +190,13 @@ def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
     return CheckResult.CERTIFIED
 
 
-def verify_theorem1_random(samples: int, scale: float = 50.0,
-                           tol: float = 1e-9, seed: int = 0) -> VerificationReport:
+def verify_theorem1_random(samples: int, tol: float = 1e-9,
+                           seed: int = 0) -> VerificationReport:
     """Certify Theorem-1 inequalities on random real tuples, all three parts.
 
-    Draws (q, p, i) with 0 <= p < q <= scale and 0 < i <= scale, keeping
-    p - i >= 0 so part 3 stays inside the first quadrant.  Witnesses are
-    tuples that failed certification.
+    Draws (q, p, i) with 0 <= p < q <= _SAMPLE_SCALE and 0 < i <= _SAMPLE_SCALE;
+    part 3 is checked where p - i >= 0, inside the first quadrant.
+    Witnesses are tuples that failed certification.
     """
     _require(samples >= 1, f"samples must be >= 1, got {samples!r}")
     t0 = time.perf_counter()
@@ -203,9 +204,9 @@ def verify_theorem1_random(samples: int, scale: float = 50.0,
     violations = []
     cases = 0
     for _ in range(samples):
-        q = rng.uniform(1.0, scale)
+        q = rng.uniform(1.0, _SAMPLE_SCALE)
         p = rng.uniform(0.0, q * 0.999)
-        i = rng.uniform(1e-3, scale) if rng.random() < 0.5 else rng.uniform(1e-3, max(p, 1e-3))
+        i = rng.uniform(1e-3, _SAMPLE_SCALE) if rng.random() < 0.5 else rng.uniform(1e-3, max(p, 1e-3))
         cases += 3 if p - i >= 0 else 2  # the parts checked by default
         if theorem1_check_real(q, p, i, tol=tol) is not CheckResult.CERTIFIED:
             violations.append((q, p, i))
@@ -232,7 +233,7 @@ def _collect_by_value(value_bound: int) -> tuple[list[int], list[int]]:
     those indexed by more than one slope, which sort into equal neighbours."""
     _require(isinstance(value_bound, int) and value_bound >= 1,
              f"value_bound must be an integer >= 1, got {value_bound!r}")
-    found = [1, 2] if value_bound >= 2 else [1]  # 0/1 and 1/1
+    found = []
     for ml, mr, mm in _walk_values(value_bound):
         assert ml * ml + mr * mr + mm * mm == 3 * ml * mr * mm
         found.append(mm)

@@ -1,7 +1,8 @@
 """Counting Markov triples below a bound and fitting the growth constant.
 
 The number of triples with largest entry at most R grows like C (ln R)^2.
-Counting walks the triple tree (the Farey tree without slope labels) and
+Counting walks the triple tree (the Farey tree without slope labels, with
+the spine (1,1,1) and (1,1,2) at the boundary slopes 0/1 and 1/1) and
 prunes once a node's largest entry exceeds the bound, which is valid because
 it strictly increases from a node to its children.  Triples and slopes are
 in bijection, so the triple count and the slope count are one walk.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import PreconditionViolatedError
@@ -31,9 +33,7 @@ def _require_bound(R):
 def count_triples(R: int) -> int:
     """Number of unordered Markov triples with maximal entry <= R."""
     _require_bound(R)
-    # (1,1,1) and (1,1,2), then one triple per walked node.
-    count = 1 + (1 if R >= 2 else 0)
-    return count + sum(1 for _ in _walk_values(R))
+    return sum(1 for _ in _walk_values(R))
 
 
 def count_lattice(R: int) -> int:
@@ -63,9 +63,5 @@ def fit_constant(schedule: list[int]) -> list[CountPoint]:
     tally = [0] * len(schedule)
     for _, _, m in _walk_values(top):
         tally[bisect_left(schedule, m)] += 1
-    points = []
-    n = 2  # (1,1,1) and (1,1,2): every bound is >= 2
-    for R, k in zip(schedule, tally):
-        n += k
-        points.append(CountPoint(R, n, n / math.log(R) ** 2))
-    return points
+    return [CountPoint(R, n, n / math.log(R) ** 2)
+            for R, n in zip(schedule, accumulate(tally))]

@@ -17,6 +17,7 @@ is a certified enclosure.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
@@ -60,24 +61,13 @@ class NormInterval(NamedTuple):
         return 0.5 * (self.lo + self.hi)
 
 
-def _closure(generators):
-    group = {(1, 0, 0, 1)}
-    frontier = list(group)
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in generators:
-                prod = mat_mul(g, h)
-                if prod not in group:
-                    group.add(prod)
-                    fresh.append(prod)
-        frontier = fresh
-    return tuple(sorted(group))
-
-
-# -I, the coordinate swap, and the order-six rotation [[0,-1],[1,1]].
-SYMMETRY_GROUP = _closure([(-1, 0, 0, -1), (0, 1, 1, 0), (0, -1, 1, 1)])
-assert len(SYMMETRY_GROUP) == 12
+# The rotation r = [[0,-1],[1,1]] of order six and the coordinate swap s
+# generate the symmetry group of the norm ball (McShane-Rivin).  r**k and
+# r**k s map the cone onto two adjacent sectors, so k = 3, 4, 5, 0, 1, 2
+# (r**3 = -I) lists the group in the angular order of its sectors from -pi.
+_SECTORS = tuple(h for g in accumulate([(-1, 0, 0, -1)] + [(0, -1, 1, 1)] * 5, mat_mul)
+                 for h in (g, mat_mul(g, (0, 1, 1, 0))))
+SYMMETRY_GROUP = tuple(sorted(_SECTORS))
 
 
 def apply_symmetry(g, v):
@@ -100,6 +90,13 @@ def canonicalize(v):
     raise InternalInconsistencyError(f"no symmetry maps {v!r} into the cone")
 
 
+def _reduced(v):
+    """(g, p, q): v's cone image is g (q, p), with p/q reduced."""
+    (cq, cp), _ = canonicalize(v)
+    g = gcd(cq, cp)
+    return g, cp // g, cq // g
+
+
 def _acosh_half_float(n: int) -> float:
     """arccosh(n/2) for an integer n >= 3, relative error well under 1e-12."""
     if n.bit_length() <= 900:
@@ -113,9 +110,8 @@ def stable_norm(v) -> float:
 
     Raises AccuracyLimitError when the norm exceeds the float range.
     """
-    (cq, cp), _ = canonicalize(v)
-    g = gcd(cq, cp)
-    m = markov_of_slope(cp // g, cq // g)
+    g, p, q = _reduced(v)
+    m = markov_of_slope(p, q)
     try:
         out = g * _acosh_half_float(3 * m)
     except OverflowError:
@@ -131,12 +127,11 @@ def stable_norm_interval(v) -> NormInterval:
     Raises AccuracyLimitError when the enclosure exceeds the float range, or
     when the reduced denominator exceeds 2**18: m(1/q) alone has ~1.4 q bits.
     """
-    (cq, cp), _ = canonicalize(v)
-    g = gcd(cq, cp)
-    if cq // g > 1 << 18:
-        raise AccuracyLimitError(f"reduced denominator {cq // g} > 2**18: use the real-"
+    g, p, q = _reduced(v)
+    if q > 1 << 18:
+        raise AccuracyLimitError(f"reduced denominator {q} > 2**18: use the real-"
                                  "point route (norm_real; norm x y without --exact)")
-    m = markov_of_slope(cp // g, cq // g)
+    m = markov_of_slope(p, q)
     return NormInterval(*_scale(iv_acosh_half_int(3 * m), g, 0))
 
 
@@ -163,8 +158,6 @@ def _iv_from_int_pow2(n: int, e: int):
         lo, hi = math.ldexp(mant, e + sh), math.ldexp(mant + 1, e + sh)
     else:
         lo = hi = math.ldexp(a, e)
-    if math.isinf(hi):
-        raise OverflowError("lattice coordinate exceeds float range")
     if hi < 4.5e-308:  # subnormal ldexp may have rounded either way
         lo, hi = max(_dn(lo), 0.0), _up(hi)  # a > 0, so lo stays >= 0
     if n < 0:
@@ -214,9 +207,7 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         raise PreconditionViolatedError(f"tol must be >= 1e-12, got {tol!r}")
 
     X, Y, k = _dyadic_direction(x, y)
-    (cq, cp), _ = canonicalize((X, Y))
-    g = gcd(cq, cp)
-    qd, pd = cq // g, cp // g
+    g, pd, qd = _reduced((X, Y))
 
     if qd <= _EXACT_DENOMINATOR_CUTOFF:
         enc = _norm_parts(3 * markov_of_slope(pd, qd))[0]
@@ -245,8 +236,8 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     outs = [(b0, (0.0, 0.0)), (b0, iv_sub(n6, n15))]  # O = (1, -1) and (1, 2)
     m_med = 5
     # The norm is the scale g 2**(j - k) times the norm of the direction
-    # (qd, pd) 2**-j.  The scale stays in the float range: cq 2**-k <= |x| +
-    # |y|, and qd > 512 makes j >= 2 and qd 2**-j >= 128.  The norm leaves it
+    # (qd, pd) 2**-j.  The scale stays in the float range: g qd 2**-k <= |x|
+    # + |y|, and qd > 512 makes j >= 2 and qd 2**-j >= 128.  The norm leaves it
     # once a lower bound times the scale's lower end rounds to inf.  That is
     # checked at every bound, the first made before any run, since _finish
     # would raise the same error only after the whole descent.
@@ -318,14 +309,9 @@ def _norm_parts(t: int):
 # larger trace has ln 3m >= 21 and takes the closed-form tail of
 # iv_acosh_minus_log, so after import norm_real runs no exp, sqrt or log1p.
 _SMALL_TRACES = {}
-_SMALL_TRACES.update({3 * m: _norm_parts(3 * m) for m in [1, 2] + [
-    w for _, _, w in _walk_values(((1 << 31) - 1) // 3)]})
+_SMALL_TRACES.update({3 * m: _norm_parts(3 * m)
+                      for _, _, m in _walk_values(((1 << 31) - 1) // 3)})
 _START = [_SMALL_TRACES[t] for t in (3, 6, 15)]  # at (1, 0), (1, 1) and (1, 2)
-
-
-# The symmetries in the angular order of the sectors they map the cone onto,
-# read off the image of the interior ray (2, 1).
-_SECTORS = sorted(SYMMETRY_GROUP, key=lambda g: math.atan2(2 * g[2] + g[3], 2 * g[0] + g[1]))
 
 
 def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:
@@ -337,8 +323,9 @@ def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:
     The cone is sorted once, by p/q.  That float key keeps the order of the
     fractions: two with q <= 2**26 differ by at least 2**-52, more than the
     rounding of both, and no table anywhere near that size can be built.
-    Each symmetry maps the sorted cone onto its sector in angular order,
-    reversed when its determinant is -1, and the sectors are taken in turn.
+    Each symmetry in _SECTORS maps the sorted cone onto its sector in
+    angular order, reversed when its determinant is -1, and _SECTORS holds
+    the sectors in turn from -pi.
     """
     cone = [(q, p, _acosh_half_float(3 * m))  # n = stable_norm((q, p))
             for (p, q), m in sorted(markov_table(max_q).items(),

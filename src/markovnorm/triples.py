@@ -102,12 +102,16 @@ def _oriented_children(node):
 
 
 def _walk_values(bound: int):
-    """Oriented nodes (u, v, w) from (1,2,5) down with w <= bound, depth first.
+    """Every Markov triple with largest entry w <= bound, as (u, v, w).
 
-    The Farey walk without its slope labels, by ``_oriented_children``'s rule.
-    w grows from a node to its children, so only children within the bound
-    are pushed; the right child is popped first.
+    The spine (1,1,1) and (1,1,2) come first where they fit; they label the
+    boundary slopes 0/1 and 1/1.  Then the oriented nodes from (1,2,5) down,
+    depth first: the Farey walk without its slope labels, by
+    ``_oriented_children``'s rule.  w grows from a node to its children, so
+    only children within the bound are pushed; the right child is popped
+    first.
     """
+    yield from (t for t in SPINE if t[2] <= bound)
     stack = [BINARY_ROOT] if bound >= 5 else []
     while stack:
         node = stack.pop()

@@ -5,6 +5,7 @@ back and compared against the library. A single subprocess test checks
 the installed entry point wiring.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -12,7 +13,9 @@ import sys
 
 import pytest
 
+import markovnorm.conjectures as conjectures
 from markovnorm import (
+    CheckResult,
     enumerate_tree,
     markov_numbers_up_to,
     markov_of_slope_via_trace,
@@ -105,6 +108,16 @@ def test_verify_theorem1(capsys):
     assert payload["reports"][0]["family"] == "theorem1"
     assert payload["reports"][0]["violations"] == []
     assert payload["verified"] is True
+
+
+def test_verify_theorem1_fails_when_a_sample_is_not_certified(capsys, monkeypatch):
+    monkeypatch.setattr(conjectures, "theorem1_check_real",
+                        lambda q, p, i, tol: CheckResult.INCONCLUSIVE)
+    code, payload, _ = run_json(capsys, "verify", "theorem1", "--samples", "4")
+    assert code == 1
+    assert payload["verified"] is False
+    assert payload["reports"][0]["verified"] is False
+    assert len(payload["reports"][0]["violations"]) == 4
 
 
 def test_verify_rejects_tiny_bound(capsys):
@@ -280,6 +293,26 @@ def test_output_is_deterministic(capsys):
     _, a, _ = run(capsys, "slope", "3/5")
     _, b, _ = run(capsys, "slope", "3/5")
     assert a == b
+
+
+# Documents that hold only integers, so no libm rounding can move them:
+# the SHA-256 of stdout and the exit code are pinned.
+_PINNED = {
+    "tree-8": (["tree", "--depth", "8"],
+               "a9827e7e1144ec2147a149de0ae599d93ce06e20b263e9c9c55fd25060f37cd4"),
+    "frobenius-1e40": (["frobenius", "--bound", str(10**40), "--list"],
+                       "ddfcbf6c424d4f9a1ee3a3a0acaaca6f1807326345964c93c1657df2fd4b9dfc"),
+    "verify-all-80": (["verify", "all", "--max", "80"],
+                      "52e47dfa6b198e56d055a3db69d21419f17f7d8f33b641e838b10e4c7b2a2458"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_integer_documents_are_byte_identical(capsys, name):
+    argv, digest = _PINNED[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_unknown_command_exits_via_argparse(capsys):

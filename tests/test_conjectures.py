@@ -8,6 +8,7 @@ import pytest
 import markovnorm.conjectures as conjectures
 from markovnorm import (
     FAMILIES,
+    AccuracyLimitError,
     CheckResult,
     PreconditionViolatedError,
     Slope,
@@ -188,6 +189,24 @@ def test_theorem1_encloses_the_base_point_once_per_tolerance(monkeypatch):
                         lambda x, y, tol: calls.append((x, y)) or real(x, y, tol=tol))
     assert theorem1_check_real(10.0, 3.0, 2.0) is CheckResult.CERTIFIED
     assert calls == [(10.0, 3.0), (12.0, 3.0), (10.0, 5.0), (12.0, 1.0)]
+
+
+def test_theorem1_is_inconclusive_without_an_enclosure(monkeypatch):
+    def no_enclosure(x, y, tol):
+        raise AccuracyLimitError("no enclosure", interval=None)
+
+    monkeypatch.setattr(conjectures, "norm_real", no_enclosure)
+    assert theorem1_check_real(10.0, 3.0, 2.0) is CheckResult.INCONCLUSIVE
+
+
+def test_verify_theorem1_random_lists_every_uncertified_sample(monkeypatch):
+    monkeypatch.setattr(conjectures, "theorem1_check_real",
+                        lambda q, p, i, tol: CheckResult.INCONCLUSIVE)
+    report = verify_theorem1_random(7, seed=3)
+    assert len(report.violations) == 7
+    assert not report.verified
+    for q, p, i in report.violations:
+        assert 0 <= p < q <= 50.0 and 0 < i <= 50.0
 
 
 def test_theorem1_part3_requires_descending_room():

@@ -12,6 +12,7 @@ from markovnorm import (
     OutOfRangeError,
     PreconditionViolatedError,
     Slope,
+    as_slope,
     christoffel_matrix,
     christoffel_word,
     markov_of_slope,
@@ -247,6 +248,17 @@ def test_parse_slope():
         parse_slope("3/2")
     with pytest.raises(OutOfRangeError):
         parse_slope("1/0")
+
+
+@pytest.mark.parametrize("text", ["1/2/3", "a/2"])
+def test_parse_slope_rejects_malformed_text(text):
+    with pytest.raises(PreconditionViolatedError):
+        parse_slope(text)
+
+
+def test_as_slope_rejects_a_float_part():
+    with pytest.raises(PreconditionViolatedError):
+        as_slope(1.0, 2)
 
 
 def test_markov_table_consistency(table_60):

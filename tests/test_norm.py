@@ -197,6 +197,13 @@ def test_from_int_contains_and_is_tight(n, e):
         assert hi - lo <= 2.0**-52 * abs(lo)
 
 
+def test_from_int_past_the_float_range_raises():
+    # math.ldexp raises rather than return inf, and _scale catches it.
+    for n in (2**1024, (2**53 - 1) << 971):
+        with pytest.raises(OverflowError):
+            _iv_from_int_pow2(n, 0)
+
+
 @given(st.integers(min_value=-(2**60), max_value=2**60).filter(bool),
        st.integers(-1200, -1000))
 def test_from_int_in_the_subnormal_range_keeps_its_sign(n, e):

@@ -121,6 +121,21 @@ def test_reduction_chain_descends(path):
         assert cubic_defect(*b) == 0
 
 
+def test_children_on_the_spine():
+    assert children((1, 1, 1)) == (OrderedTriple(1, 1, 2),)
+    assert children((1, 1, 2)) == (OrderedTriple(1, 2, 5),)
+    assert children((2, 1, 1)) == (OrderedTriple(1, 2, 5),)
+
+
+def test_enumerate_tree_rejects_a_negative_depth():
+    with pytest.raises(OutOfRangeError):
+        list(enumerate_tree(-1))
+
+
+def test_is_markov_rejects_a_pair():
+    assert not is_markov((1, 1))
+
+
 def test_enumerate_tree_shape_and_order():
     nodes = list(enumerate_tree(6))
     assert len(nodes) == 2**7 - 1
@@ -160,9 +175,10 @@ def test_enumerate_tree_yields_ascending_triples():
 
 
 def _slope_labelled_walk(bound):
-    """(m(left end), m(right end), m(mediant)) of every Farey node whose
-    mediant value is <= bound, walked on slope labels with markov_of_slope."""
-    out = []
+    """The spine (1,1,1) and (1,1,2) where they fit, then (m(left end),
+    m(right end), m(mediant)) of every Farey node whose mediant value is
+    <= bound, walked on slope labels with markov_of_slope."""
+    out = [t for t in [(1, 1, 1), (1, 1, 2)] if t[2] <= bound]
     stack = [((0, 1), (1, 1))]
     while stack:
         lo, hi = stack.pop()
