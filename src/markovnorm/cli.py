@@ -196,15 +196,23 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _digit_list(values) -> str:
+    """A list of decimal strings, as _json lays out the value of a top-level key."""
+    if not values:
+        return "[]"
+    return '[\n    "%s"\n  ]' % '",\n    "'.join(map(str, values))
+
+
 def cmd_frobenius(args) -> int:
+    # Laid out by hand, as _json would lay it out: every field holds digits
+    # only, so nothing needs escaping, and the keys are in sorted order.
     bound = int(args.bound)
     distinct, duplicates = _collect_by_value(bound)
-    payload = {"bound": str(bound),
-               "duplicates": [str(v) for v in duplicates],
-               "valueCount": len(distinct)}
+    parts = ['{\n  "bound": "%d",\n  "duplicates": ' % bound, _digit_list(duplicates)]
     if args.list:
-        payload["markovNumbers"] = [str(v) for v in distinct]
-    _emit(_json(payload), args.out)
+        parts += [',\n  "markovNumbers": ', _digit_list(distinct)]
+    parts.append(',\n  "valueCount": %d\n}\n' % len(distinct))
+    _emit("".join(parts), args.out)
     return 0 if not duplicates else 1
 
 

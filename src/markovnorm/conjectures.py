@@ -235,7 +235,7 @@ def _collect_by_value(value_bound: int) -> tuple[list[int], list[int]]:
              f"value_bound must be an integer >= 1, got {value_bound!r}")
     found = []
     for ml, mr, mm in _walk_values(value_bound):
-        assert ml * ml + mr * mr + mm * mm == 3 * ml * mr * mm
+        assert ml * ml + mr * mr == mm * (3 * ml * mr - mm)  # Markov's equation
         found.append(mm)
     found.sort()
     repeated = (a for a, b in zip(found, found[1:]) if a == b)

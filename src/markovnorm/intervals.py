@@ -11,6 +11,7 @@ few ulp wide for integers with millions of bits.
 from __future__ import annotations
 
 import math
+from math import nextafter
 
 INF = math.inf
 
@@ -18,37 +19,39 @@ INF = math.inf
 LN2 = (math.log(2), math.nextafter(math.log(2), INF))
 
 
+# _dn and _up round one step outward.  The helpers on norm_real's path call
+# nextafter themselves, which saves a Python frame per rounding.
 def _dn(x: float) -> float:
-    return math.nextafter(x, -INF)
+    return nextafter(x, -INF)
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, INF)
+    return nextafter(x, INF)
 
 
 def iv_add(a, b):
-    return (_dn(a[0] + b[0]), _up(a[1] + b[1]))
+    return (nextafter(a[0] + b[0], -INF), nextafter(a[1] + b[1], INF))
 
 
 def iv_sub(a, b):
-    return (_dn(a[0] - b[1]), _up(a[1] - b[0]))
+    return (nextafter(a[0] - b[1], -INF), nextafter(a[1] - b[0], INF))
 
 
 def iv_mul(a, b):
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (_dn(min(ps)), _up(max(ps)))
+    return (nextafter(min(ps), -INF), nextafter(max(ps), INF))
 
 
 def _dot_lo(a, b, c, d) -> float:
     """Lower end of iv_add(iv_mul(a, b), iv_mul(c, d)) for a, b, c >= 0 and
     d of any sign, from the two products that set it."""
     cd = c[0] * d[0] if d[0] >= 0.0 else c[1] * d[0]
-    return _dn(_dn(a[0] * b[0]) + _dn(cd))
+    return nextafter(nextafter(a[0] * b[0], -INF) + nextafter(cd, -INF), -INF)
 
 
 def _dot_hi(a, b, c, d) -> float:
     """Upper end of iv_add(iv_mul(a, b), iv_mul(c, d)) for a, b, c, d >= 0."""
-    return _up(_up(a[1] * b[1]) + _up(c[1] * d[1]))
+    return nextafter(nextafter(a[1] * b[1], INF) + nextafter(c[1] * d[1], INF), INF)
 
 
 def iv_sqrt(a):
@@ -67,26 +70,19 @@ def iv_log1p(a):
     return (_dn(_dn(math.log1p(a[0]))), _up(_up(math.log1p(a[1]))))
 
 
-def _ln_small_dn(n: int) -> float:
-    return _dn(_dn(math.log(n)))
-
-
-def _ln_small_up(n: int) -> float:
-    return _up(_up(math.log(n)))
-
-
 def iv_ln_int(n: int):
     """Enclosure of ln(n) for a positive integer of any size."""
     if n <= 0:
         raise ValueError("iv_ln_int needs a positive integer")
     if n.bit_length() <= 53:
-        return (_ln_small_dn(n), _ln_small_up(n))
+        v = math.log(n)
+        return (nextafter(nextafter(v, -INF), -INF), nextafter(nextafter(v, INF), INF))
     shift = n.bit_length() - 53
     mant = n >> shift
     # mant * 2**shift <= n < (mant + 1) * 2**shift
-    lo = _dn(_ln_small_dn(mant) + _dn(shift * LN2[0]))
-    hi = _up(_ln_small_up(mant + 1) + _up(shift * LN2[1]))
-    return (lo, hi)
+    lo = nextafter(nextafter(math.log(mant), -INF), -INF) + nextafter(shift * LN2[0], -INF)
+    hi = nextafter(nextafter(math.log(mant + 1), INF), INF) + nextafter(shift * LN2[1], INF)
+    return (nextafter(lo, -INF), nextafter(hi, INF))
 
 
 def iv_acosh_half_int(n: int):
@@ -103,14 +99,19 @@ def iv_ln_ratio(a: int, b: int):
     e = a.bit_length() - b.bit_length() - 52
     q = (a >> e) // b if e > 0 else (a << -e) // b  # a/b in [q, q+1) * 2**e
     if e > 0:  # ln(a / b) > 36, so adding e ln 2 costs no relative accuracy
-        return (_dn(_ln_small_dn(q) + _dn(e * LN2[0])),
-                _up(_ln_small_up(q + 1) + _up(e * LN2[1])))
-    return (_dn(_dn(math.log(math.ldexp(q, e)))), _up(_up(math.log(math.ldexp(q + 1, e)))))
+        lo = nextafter(nextafter(math.log(q), -INF), -INF) + nextafter(e * LN2[0], -INF)
+        hi = nextafter(nextafter(math.log(q + 1), INF), INF) + nextafter(e * LN2[1], INF)
+        return (nextafter(lo, -INF), nextafter(hi, INF))
+    lo, hi = math.log(math.ldexp(q, e)), math.log(math.ldexp(q + 1, e))
+    return (nextafter(nextafter(lo, -INF), -INF), nextafter(nextafter(hi, INF), INF))
 
 
 def iv_acosh_of_logtrace(u):
     """Enclosure of arccosh(t/2) given an enclosure u of ln t, t >= 3."""
     return iv_add(u, iv_acosh_minus_log(u))
+
+
+_LOG_TAIL = (-2.0**-58, 0.0)  # iv_acosh_minus_log once u >= 21
 
 
 def iv_acosh_minus_log(u):
@@ -124,7 +125,7 @@ def iv_acosh_minus_log(u):
     and ln(1 - x/2) >= -x for x <= 1.
     """
     if u[0] >= 21.0:
-        return (-2.0**-58, 0.0)
+        return _LOG_TAIL
     four = (4.0, 4.0)
     e = iv_exp(iv_mul((-2.0, -2.0), u))
     inner = iv_sub((1.0, 1.0), iv_mul(four, e))

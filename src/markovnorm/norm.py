@@ -4,6 +4,11 @@ At a primitive lattice point (q, p) in the fundamental cone 0 <= p <= q the
 norm is arccosh(3 m(p/q) / 2); it extends by homogeneity, by the order-12
 symmetry group of the norm ball, and by convexity to the whole plane.
 
+The group acts on the three linear forms x, y and -x - y by signed
+permutations, so it keeps the values |x|, |y|, |x + y|; at a cone point
+(q, p) they are p <= q <= q + p.  The cone image of (x, y) is therefore
+(b, a), with a <= b the two smaller of those values.
+
 Real directions are evaluated by sandwiching: descend the Farey tree towards
 the direction one Stern-Brocot run at a time, keep the bracketing boundary
 points of the unit ball plus one known point beyond each side, and trap the
@@ -34,6 +39,7 @@ from .indexing import (
     mat_mul,
 )
 from .intervals import (
+    _LOG_TAIL,
     _dn,
     _dot_hi,
     _dot_lo,
@@ -91,10 +97,16 @@ def canonicalize(v):
 
 
 def _reduced(v):
-    """(g, p, q): v's cone image is g (q, p), with p/q reduced."""
-    (cq, cp), _ = canonicalize(v)
-    g = gcd(cq, cp)
-    return g, cp // g, cq // g
+    """(g, p, q): v's cone image is g (q, p), with p/q reduced.
+
+    The image is read off the three linear forms (see the module docstring):
+    with a <= b <= c the values |x|, |y|, |x + y|, it is (b, a)."""
+    x, y = v
+    a, b, _ = sorted((abs(x), abs(y), abs(x + y)))
+    if b == 0:
+        raise PreconditionViolatedError("cannot canonicalize the zero vector")
+    g = gcd(a, b)
+    return g, a // g, b // g
 
 
 def _acosh_half_float(n: int) -> float:
@@ -244,30 +256,29 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     scale_lo, scale = _iv_from_int_pow2(g, j - k)
     scaled_tol = 0.9 * tol / scale  # conservative, for the direction's enclosure
 
-    best = (0.0, math.inf)
+    lo, hi = 0.0, math.inf  # the best enclosure so far
     runs = _runs(pd, qd)
     substeps = run = 0
-
-    def merge(lo, hi):
-        nonlocal best
-        best = (max(best[0], lo), min(best[1], hi))
-        if best[0] > best[1]:
-            raise InternalInconsistencyError("sandwich enclosures disagree")
 
     while True:
         (_, _, nl, _, al), (_, _, nr, _, ar) = ends
         (bl, dl), (br, dr) = outs
-        merge(max(_dot_lo(bl, nl, al, dl), _dot_lo(br, nr, ar, dr), 0.0),
-              _dot_hi(ar, nl, al, nr))
-        if best[0] * scale_lo == math.inf:
+        lo = max(lo, _dot_lo(bl, nl, al, dl), _dot_lo(br, nr, ar, dr))
+        hi = min(hi, _dot_hi(ar, nl, al, nr))
+        if lo > hi:
+            raise InternalInconsistencyError("sandwich enclosures disagree")
+        if lo * scale_lo == math.inf:
             raise AccuracyLimitError("norm exceeds float range")
-        if best[1] - best[0] <= scaled_tol:
+        if hi - lo <= scaled_tol:
             reason = "tolerance"
             break
         if not run:  # a new run: the side that moves and its length
             side, run = next(runs, (0, 0))
             if not run:  # the mediant lies on the direction
-                merge(*iv_mul(_norm_parts(3 * m_med)[0], _iv_from_int_pow2(1, -j)))
+                ex_lo, ex_hi = iv_mul(_norm_parts(3 * m_med)[0], _iv_from_int_pow2(1, -j))
+                lo, hi = max(lo, ex_lo), min(hi, ex_hi)
+                if lo > hi:
+                    raise InternalInconsistencyError("sandwich enclosures disagree")
                 reason = "exact hit"
                 break
         (cs, ms, _, hs, _), (cf, mf, _, _, af) = ends[side], ends[1 - side]
@@ -280,7 +291,10 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         m0, h0 = ms, hs  # O: the end before the last substep
         if n > 1:
             m0 = 3 * mf * m1 - m_med
-            h0 = _norm_parts(3 * m0)[1]
+            # _norm_parts(3 * m0)[1], with no logarithm: a trace past the
+            # table has ln 3m0 >= 21, so its h is the constant tail.
+            parts = _SMALL_TRACES.get(3 * m0)
+            h0 = _LOG_TAIL if parts is None else parts[1]
         n1, h1 = _norm_parts(3 * m1)
         c1 = cs + n * cf
         ends[side] = (c1, m1, n1, h1, _iv_from_int_pow2(abs(c1), -j))
@@ -289,7 +303,7 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         run -= n
 
     counters = f"{substeps} substeps, {(3 * m_med).bit_length()}-bit trace"
-    return _finish(best, g, j - k, tol, f"{reason}: {counters}")
+    return _finish((lo, hi), g, j - k, tol, f"{reason}: {counters}")
 
 
 def _norm_parts(t: int):

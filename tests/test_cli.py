@@ -241,6 +241,33 @@ def test_frobenius_reports_a_value_the_walk_yields_twice(capsys, walk_repeats_29
     assert payload["markovNumbers"].count("29") == 1
 
 
+def _frobenius_payload(bound, listed):
+    distinct, duplicates = conjectures._collect_by_value(bound)
+    payload = {"bound": str(bound), "duplicates": [str(v) for v in duplicates],
+               "valueCount": len(distinct)}
+    if listed:
+        payload["markovNumbers"] = [str(v) for v in distinct]
+    return payload
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["plain", "list"])
+@pytest.mark.parametrize("bound", [1, 2, 5, 13, 1000, 10**40])
+def test_frobenius_document_is_the_json_dump(capsys, bound, listed):
+    argv = ["frobenius", "--bound", str(bound)] + ["--list"] * listed
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == cli._json(_frobenius_payload(bound, listed))
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["plain", "list"])
+def test_frobenius_document_with_a_duplicate_is_the_json_dump(
+        capsys, walk_repeats_29, listed):
+    argv = ["frobenius", "--bound", "1000"] + ["--list"] * listed
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == cli._json(_frobenius_payload(1000, listed))
+
+
 def test_ball_csv(capsys):
     code, out, _ = run(capsys, "ball", "--max-q", "1")
     assert code == 0

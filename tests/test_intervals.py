@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from markovnorm.intervals import (
+    LN2,
     _dot_hi,
     _dot_lo,
     iv_acosh_half_int,
@@ -194,3 +195,72 @@ def test_interval_order_respects_integer_order(n, gap):
     assert a[0] <= b[1]
     if n <= 10**10:
         assert a[1] < b[0]
+
+
+# The helpers call math.nextafter themselves; these are the compositions of
+# one-step roundings they stand for, written out with their own _dn and _up.
+def _dn(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _ln_dn(n):
+    return _dn(_dn(math.log(n)))
+
+
+def _ln_up(n):
+    return _up(_up(math.log(n)))
+
+
+def _ln_int_by_composition(n):
+    if n.bit_length() <= 53:
+        return (_ln_dn(n), _ln_up(n))
+    shift = n.bit_length() - 53
+    mant = n >> shift
+    return (_dn(_ln_dn(mant) + _dn(shift * LN2[0])),
+            _up(_ln_up(mant + 1) + _up(shift * LN2[1])))
+
+
+def _ln_ratio_by_composition(a, b):
+    e = a.bit_length() - b.bit_length() - 52
+    q = (a >> e) // b if e > 0 else (a << -e) // b
+    if e > 0:
+        return (_dn(_ln_dn(q) + _dn(e * LN2[0])), _up(_ln_up(q + 1) + _up(e * LN2[1])))
+    return (_ln_dn(math.ldexp(q, e)), _ln_up(math.ldexp(q + 1, e)))
+
+
+def bits(*values):
+    """Bit patterns, so that -0.0 and 0.0 differ."""
+    return [float.hex(float(v)) for v in values]
+
+
+@given(finite, finite, finite, finite, finite, finite, finite, finite)
+def test_rounding_matches_the_dn_up_composition(a0, a1, b0, b1, c0, c1, d0, d1):
+    a, b, c, d = (a0, a1), (b0, b1), (c0, c1), (d0, d1)
+    assert bits(*iv_add(a, b)) == bits(_dn(a0 + b0), _up(a1 + b1))
+    assert bits(*iv_sub(a, b)) == bits(_dn(a0 - b1), _up(a1 - b0))
+    ps = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    assert bits(*iv_mul(a, b)) == bits(_dn(min(ps)), _up(max(ps)))
+    cd = c0 * d0 if d0 >= 0.0 else c1 * d0
+    assert bits(_dot_lo(a, b, c, d)) == bits(_dn(_dn(a0 * b0) + _dn(cd)))
+    assert bits(_dot_hi(a, b, c, d)) == bits(_up(_up(a1 * b1) + _up(c1 * d1)))
+
+
+@given(st.integers(1, 2**3000))
+@example(1)
+@example(2**53 - 1)
+@example(2**53)
+def test_ln_int_matches_the_dn_up_composition(n):
+    assert bits(*iv_ln_int(n)) == bits(*_ln_int_by_composition(n))
+
+
+@given(st.integers(1, 2**3000), st.integers(1, 2**3000))
+@example(1, 1)
+@example(2**60, 1)
+@example(2**53, 2**52)
+def test_ln_ratio_matches_the_dn_up_composition(x, y):
+    a, b = max(x, y), min(x, y)
+    assert bits(*iv_ln_ratio(a, b)) == bits(*_ln_ratio_by_composition(a, b))

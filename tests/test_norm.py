@@ -1,6 +1,7 @@
 """Tests for the stable norm: symmetry group, exact values, real extension."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -26,12 +27,20 @@ from markovnorm import (
     stable_norm_interval,
 )
 from markovnorm.intervals import (
+    _LOG_TAIL,
     iv_acosh_half_int,
     iv_acosh_minus_log,
     iv_add,
     iv_ln_int,
 )
-from markovnorm.norm import _SMALL_TRACES, _TRACE_BITS, _iv_from_int_pow2
+from markovnorm.norm import (
+    _SMALL_TRACES,
+    _TRACE_BITS,
+    _iv_from_int_pow2,
+    _norm_parts,
+    _reduced,
+)
+from markovnorm.triples import _walk_values
 
 int_vectors = st.tuples(
     st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
@@ -144,6 +153,45 @@ def test_stable_norm_rejects_zero():
         stable_norm((0, 0))
     with pytest.raises(PreconditionViolatedError):
         stable_norm_interval((0, 0))
+
+
+def _reduced_by_the_group(v):
+    """_reduced's (g, p, q) from canonicalize's trials of the 12 elements."""
+    (q, p), _ = canonicalize(v)
+    g = math.gcd(q, p)
+    return g, p // g, q // g
+
+
+def test_reduced_reads_the_cone_image_off_the_forms():
+    box = [(x, y) for x in range(-40, 41) for y in range(-40, 41) if (x, y) != (0, 0)]
+    rng = random.Random(2024)
+    wide = [(rng.randrange(-2**200, 2**200), rng.randrange(-2**200, 2**200))
+            for _ in range(500)]
+    for v in box + [v for v in wide if v != (0, 0)]:
+        assert _reduced(v) == _reduced_by_the_group(v), v
+
+
+def test_zero_direction_errors_keep_their_types_and_messages():
+    cases = [(stable_norm, ((0, 0),), "cannot canonicalize the zero vector"),
+             (stable_norm_interval, ((0, 0),), "cannot canonicalize the zero vector"),
+             (norm_real, (0.0, 0.0), "the norm direction must be nonzero"),
+             (norm_real, (-0.0, 0.0), "the norm direction must be nonzero")]
+    for fn, args, message in cases:
+        with pytest.raises(PreconditionViolatedError) as info:
+            fn(*args)
+        assert info.type is PreconditionViolatedError
+        assert str(info.value) == message
+
+
+def test_traces_past_the_table_have_the_constant_tail():
+    # norm_real reads h = arccosh(t/2) - ln t of the outer point from
+    # _SMALL_TRACES or, past it, as _LOG_TAIL without a logarithm.
+    traces = [3 * m for _, _, m in _walk_values(10**60)]
+    small = [t for t in traces if t < 2**31]
+    assert len(_SMALL_TRACES) == 85 and sorted(_SMALL_TRACES) == sorted(small)
+    for t in traces:
+        if t not in _SMALL_TRACES:
+            assert _norm_parts(t)[1] == iv_acosh_minus_log(iv_ln_int(t)) == _LOG_TAIL
 
 
 def test_stable_norm_interval_refuses_huge_denominators(deadline):
