@@ -10,9 +10,12 @@ Two independent routes compute the Markov number m(p/q):
 
 Both walk the Stern-Brocot path to p/q one run of equal moves (one partial
 quotient) at a time.  A run keeps one endpoint fixed, so it is one 2x2
-matrix power: O(log k) big-int products for k moves.  The descent takes its
-runs from ``_runs``, which ``stern_brocot_path`` and the norm sandwich share;
-the trace route finds its own by Euclid's algorithm.
+matrix power.  The power of a determinant-1 matrix is two Chebyshev scalars
+in its trace (``_chebyshev``), doubled with 2 big-int products per bit of k,
+and four products to apply them.  The trace route forms its last matrix
+product only on the diagonal, which is all the trace reads.  The descent
+takes its runs from ``_runs``, which ``stern_brocot_path`` and the norm
+sandwich share; the trace route finds its own by Euclid's algorithm.
 
 They must agree everywhere; tests and the acceptance gate compare them.
 ``markov_table`` walks the Farey tree with its slope labels, pruned by
@@ -116,9 +119,11 @@ def _recurrence_run(fixed: int, prev: int, cur: int, k: int):
     A step is one product by t = 3*fixed.  The power's last four products
     multiply entries of about k*bits(t) bits by prev and cur, so where t is
     about as long as cur (balanced slopes) k plain steps cost less.  Measured
-    over operand sizes, the power pays only once the run grows cur by 8 to
-    30 times its length; runs that grow it by at most 8 times (plus 64 bits)
-    take the steps.
+    on a grid of operand sizes with t at least half as long as cur, the power
+    pays only once the run grows cur by 20 to 30 times its length, and at 8
+    times the steps take 0.6 to 0.7 of its time.  Moving the threshold from 8
+    to 16 or 24 left the slopes descent and norm_real level within 2 %, so
+    runs that grow cur by at most 8 times (plus 64 bits) take the steps.
     """
     t = 3 * fixed
     if k * t.bit_length() <= 8 * cur.bit_length() + 64:
@@ -193,15 +198,35 @@ def mat_det(m) -> int:
 
 
 def _mat_pow(m, k: int):
-    """m**k for k >= 1 and det(m) = 1; squares as tr(M)*M - I (Cayley-Hamilton)."""
-    out = m
-    for bit in bin(k)[3:]:
-        a, b, c, d = out
-        t = a + d
-        out = (t * a - 1, t * b, t * c, t * d - 1)
+    """m**k for k >= 1 and det(m) = 1.
+
+    By Cayley-Hamilton m**k = U(k-1) m - U(k-2) I, with U the Chebyshev
+    recurrence in t = tr(m), so the power is two scalars and four products.
+    """
+    a, b, c, d = m
+    s, u = _chebyshev(a + d, k - 1)
+    return (u * a - s, u * b, u * c, u * d - s)
+
+
+def _chebyshev(t: int, n: int):
+    """(U(n-1), U(n)) for n >= 0, where U(-1) = 0, U(0) = 1 and
+    U(j+1) = t U(j) - U(j-1).
+
+    Doubling takes (U(j-1), U(j)) to (U(j-1) (2 U(j) - t U(j-1)),
+    U(j)**2 - U(j-1)**2): two products of equal length per bit of n, plus
+    one short product by t on a 1 bit.  Up to n = 8 the plain recurrence,
+    one short product per step, costs less.
+    """
+    s, u = 0, 1
+    if n <= 8:
+        for _ in range(n):
+            s, u = u, t * u - s
+        return s, u
+    for bit in bin(n)[2:]:
+        s, u = s * (2 * u - t * s), (u - s) * (u + s)
         if bit == "1":
-            out = mat_mul(out, m)
-    return out
+            s, u = u, t * u - s
+    return s, u
 
 
 def word_matrix(word: str):
@@ -216,24 +241,33 @@ def word_matrix(word: str):
 
 
 def christoffel_matrix(p: int, q: int):
-    """word_matrix(christoffel_word(p, q)), by the Cohn factorisation.
+    """word_matrix(christoffel_word(p, q)), by the Cohn factorisation."""
+    return mat_mul(*_christoffel_factors(p, q))
+
+
+def _christoffel_factors(p: int, q: int):
+    """(X, Y) with X Y = christoffel_matrix(p, q).
 
     W(lo+hi) = W(lo) W(hi) for Farey neighbours lo < hi.  From the bracket
     (0/1, 1/0) with W = a, b, the runs to p/q = [0; a1, ..., an] are L**a1
     R**a2 ..., each one power: W(hi) = W(lo)**k W(hi), W(lo) = W(lo) W(hi)**k.
+    Each product is formed one run late, so the last is left to the caller.
     """
     p, q = as_slope(p, q)
-    w_lo, w_hi = GENERATORS["a"], GENERATORS["b"]
-    left = False
+    x, y = IDENTITY, GENERATORS["a"]  # W(0/1)
+    hi = GENERATORS["b"]
+    pending_hi = False  # x y is W(hi), else W(lo)
     while p:
         k, r = divmod(q, p)
-        left = not left
-        if left:
-            w_hi = mat_mul(_mat_pow(w_lo, k), w_hi)
+        if pending_hi:
+            hi = mat_mul(x, y)
+            x, y = lo, _mat_pow(hi, k)
         else:
-            w_lo = mat_mul(w_lo, _mat_pow(w_hi, k))
+            lo = mat_mul(x, y)
+            x, y = _mat_pow(lo, k), hi
+        pending_hi = not pending_hi
         p, q = r, p
-    return w_hi if left else w_lo
+    return x, y
 
 
 def _trace_to_markov(trace: int) -> int:
@@ -246,6 +280,9 @@ def markov_of_slope_via_trace(p: int, q: int) -> int:
     """Markov number of p/q as one third of the Christoffel word's trace.
 
     The matrix is ``christoffel_matrix``, one power of generator products
-    per partial quotient; no Markov recurrence or descent value enters.
+    per partial quotient; its last product X Y enters only through its
+    diagonal, tr(X Y) = sum of x_ij y_ji.  No Markov recurrence or descent
+    value enters.
     """
-    return _trace_to_markov(mat_trace(christoffel_matrix(p, q)))
+    (a, b, c, d), (e, f, g, h) = _christoffel_factors(p, q)
+    return _trace_to_markov(a * e + b * g + c * f + d * h)

@@ -144,19 +144,26 @@ def stable_norm_interval(v) -> NormInterval:
         raise AccuracyLimitError(f"reduced denominator {q} > 2**18: use the real-"
                                  "point route (norm_real; norm x y without --exact)")
     m = markov_of_slope(p, q)
-    return NormInterval(*_scale(iv_acosh_half_int(3 * m), g, 0))
+    return NormInterval(*_scale(iv_acosh_half_int(3 * m), _scale_factor(g, 0)))
 
 
-def _scale(enc, g: int, e: int):
-    """enc * g * 2**e; AccuracyLimitError when its upper end passes the float
+def _scale(enc, factor):
+    """enc * factor; AccuracyLimitError when its upper end passes the float
     range."""
-    try:
-        out = iv_mul(enc, _iv_from_int_pow2(g, e))
-    except OverflowError:
-        out = (0.0, math.inf)
+    out = iv_mul(enc, factor)
     if out[1] == math.inf:
         raise AccuracyLimitError("norm exceeds float range")
     return out
+
+
+def _scale_factor(g: int, e: int):
+    """Enclosure of g * 2**e, for a norm's scale.  Past the float range it
+    raises AccuracyLimitError: every norm is at least arccosh(3/2) > 0.96
+    times its scale, so it is past the float range too."""
+    try:
+        return _iv_from_int_pow2(g, e)
+    except OverflowError:
+        raise AccuracyLimitError("norm exceeds float range") from None
 
 
 def _iv_from_int_pow2(n: int, e: int):
@@ -189,9 +196,9 @@ def _dyadic_direction(x: float, y: float):
     return nx * ((1 << k) // dx), ny * ((1 << k) // dy), k
 
 
-def _finish(enc_dir, g: int, e: int, tol: float, reason: str):
-    """Scale a direction enclosure by g * 2**e and enforce the tolerance."""
-    enc = _scale(enc_dir, g, e)
+def _finish(enc_dir, factor, tol: float, reason: str):
+    """Scale a direction enclosure by factor and enforce the tolerance."""
+    enc = _scale(enc_dir, factor)
     out = NormInterval(max(enc[0], 0.0), enc[1])
     if out.width <= tol:
         return out
@@ -223,7 +230,7 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
 
     if qd <= _EXACT_DENOMINATOR_CUTOFF:
         enc = _norm_parts(3 * markov_of_slope(pd, qd))[0]
-        return _finish(enc, g, -k, tol, "exact direction")
+        return _finish(enc, _scale_factor(g, -k), tol, "exact direction")
 
     # Farey sandwich.  Each bracket end L, R carries (c, m, N, h, a): c = qd p -
     # pd q, the exact cross product of its vector (q, p) with the direction
@@ -251,10 +258,11 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     # (qd, pd) 2**-j.  The scale stays in the float range: g qd 2**-k <= |x|
     # + |y|, and qd > 512 makes j >= 2 and qd 2**-j >= 128.  The norm leaves it
     # once a lower bound times the scale's lower end rounds to inf.  That is
-    # checked at every bound, the first made before any run, since _finish
-    # would raise the same error only after the whole descent.
-    scale_lo, scale = _iv_from_int_pow2(g, j - k)
-    scaled_tol = 0.9 * tol / scale  # conservative, for the direction's enclosure
+    # checked at every bound, the first made before any run, since _finish,
+    # which scales by the same enclosure, would raise the same error only
+    # after the whole descent.
+    scale_lo, scale_hi = scale = _iv_from_int_pow2(g, j - k)
+    scaled_tol = 0.9 * tol / scale_hi  # conservative, for the direction's enclosure
 
     lo, hi = 0.0, math.inf  # the best enclosure so far
     runs = _runs(pd, qd)
@@ -303,7 +311,7 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         run -= n
 
     counters = f"{substeps} substeps, {(3 * m_med).bit_length()}-bit trace"
-    return _finish((lo, hi), g, j - k, tol, f"{reason}: {counters}")
+    return _finish((lo, hi), scale, tol, f"{reason}: {counters}")
 
 
 def _norm_parts(t: int):

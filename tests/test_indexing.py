@@ -1,6 +1,9 @@
 """Tests for the slope indexing: words, matrices and both value routes."""
 
+import importlib.util
+import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -27,6 +30,16 @@ from markovnorm import (
 
 reduced_words = st.text(alphabet="ab", min_size=1, max_size=10)
 free_words = st.text(alphabet="ab", min_size=0, max_size=12)
+
+
+def seed1_slope_queries():
+    """The 1,000 queries of the benchmark's slopes workload at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    queries = itertools.islice(workloads.slope_queries(1), workloads.SLOPE_OPS)
+    return [(p, q) for p, q, _ in queries]
 
 
 def coprime_slopes(max_q):
@@ -94,10 +107,45 @@ def test_recurrence_run_equals_plain_steps(fixed, prev, cur, k):
     assert markovnorm.indexing._recurrence_run(fixed, prev, cur, k) == expected
 
 
+@given(st.integers(3, 2**300), st.integers(1, 2000))
+@example(3, 1)
+@example(2**300, 2)
+@example(7, 8)  # the last plain step
+@example(7, 9)  # the first doubling
+@example(5, 15)
+@example(5, 16)
+@example(5, 17)
+@example(2**300, 1023)
+@example(2**300, 1024)
+@example(2**300, 1025)
+def test_chebyshev_equals_plain_recurrence(t, n):
+    expected = (0, 1)
+    for _ in range(n):
+        expected = (expected[1], t * expected[1] - expected[0])
+    assert markovnorm.indexing._chebyshev(t, n) == expected
+
+
+@given(free_words, st.integers(1, 200))
+@example("ab", 1)
+@example("a", 9)
+def test_mat_pow_is_the_repeated_word(w, k):
+    assert markovnorm.indexing._mat_pow(word_matrix(w), k) == word_matrix(w * k)
+
+
 def test_christoffel_matrix_is_the_word_product():
-    # The run-length Cohn product against the letter-by-letter oracle.
+    # The run-length Cohn product against the letter-by-letter oracle; the
+    # trace route reads only the diagonal of the last factors' product.
     for p, q in coprime_slopes(60):
+        x, y = markovnorm.indexing._christoffel_factors(p, q)
+        assert mat_det(x) == mat_det(y) == 1
+        assert mat_mul(x, y) == christoffel_matrix(p, q)
         assert christoffel_matrix(p, q) == word_matrix(christoffel_word(p, q))
+
+
+def test_trace_route_takes_the_trace_of_the_product():
+    long_runs = [(p, q) for q in range(2, 5001) for p in (1, q - 1)]
+    for p, q in seed1_slope_queries() + long_runs:
+        assert markov_of_slope_via_trace(p, q) * 3 == mat_trace(christoffel_matrix(p, q))
 
 
 def test_trace_route_uses_no_descent(monkeypatch):
@@ -108,6 +156,7 @@ def test_trace_route_uses_no_descent(monkeypatch):
 
     monkeypatch.setattr(markovnorm.indexing, "markov_of_slope", forbidden)
     monkeypatch.setattr(markovnorm.indexing, "_recurrence_run", forbidden)
+    monkeypatch.setattr(markovnorm.indexing, "_runs", forbidden)
     assert markov_of_slope_via_trace(7919, 12345) == expected
     assert markov_of_slope_via_trace(1, 500) == oracles.fibonacci(1001)
 

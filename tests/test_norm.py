@@ -246,7 +246,7 @@ def test_from_int_contains_and_is_tight(n, e):
 
 
 def test_from_int_past_the_float_range_raises():
-    # math.ldexp raises rather than return inf, and _scale catches it.
+    # math.ldexp raises rather than return inf, and _scale_factor catches it.
     for n in (2**1024, (2**53 - 1) << 971):
         with pytest.raises(OverflowError):
             _iv_from_int_pow2(n, 0)
