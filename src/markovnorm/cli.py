@@ -36,7 +36,8 @@ from .indexing import (
     parse_slope,
     stern_brocot_path,
 )
-from .norm import ball_boundary_sample, norm_real, stable_norm, stable_norm_interval
+from .norm import (_EXACT_MAX_Q, _reduced, ball_boundary_sample, norm_real,
+                   stable_norm, stable_norm_interval)
 from .triples import enumerate_tree
 
 def _emit(text: str, out: str | None):
@@ -126,6 +127,9 @@ def cmd_ball(args) -> int:
                 f"--witness expects Q,P integers, got {args.witness!r}") from None
         if (wq, wp) == (0, 0):
             raise PreconditionViolatedError("--witness must be nonzero")
+        q = _reduced((wq, wp))[2]  # m(p/q) alone has about 1.4 q bits
+        if q > _EXACT_MAX_Q:
+            raise PreconditionViolatedError(f"--witness: reduced denominator {q} > 2**18")
         witness = (wq, wp)
     points = ball_boundary_sample(args.max_q)
     if args.format == "csv":
@@ -253,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("norm", cmd_norm, "certified stable norm of a vector")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="absolute width bound, finite; --exact does not apply it")
     p.add_argument("--exact", action="store_true",
                    help="treat x, y as exact integers")
 

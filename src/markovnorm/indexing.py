@@ -130,8 +130,9 @@ def _recurrence_run(fixed: int, prev: int, cur: int, k: int):
         for _ in range(k):
             prev, cur = cur, t * cur - prev
         return prev, cur
-    a, b, c, d = _mat_pow((0, 1, -1, t), k)
-    return a * prev + b * cur, c * prev + d * cur
+    # (0, 1, -1, t)**k = u (0, 1, -1, t) - s I, with (s, u) = (U(k-2), U(k-1)).
+    s, u = _chebyshev(t, k - 1)
+    return u * cur - s * prev, (t * u - s) * cur - u * prev
 
 
 def markov_table(max_q: int) -> dict[Slope, int]:

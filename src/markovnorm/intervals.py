@@ -89,7 +89,8 @@ def iv_acosh_half_int(n: int):
     """Enclosure of arccosh(n/2) for an integer n >= 3."""
     if n < 3:
         raise ValueError("iv_acosh_half_int needs n >= 3")
-    return iv_acosh_of_logtrace(iv_ln_int(n))
+    u = iv_ln_int(n)
+    return iv_add(u, iv_acosh_minus_log(u))
 
 
 def iv_ln_ratio(a: int, b: int):
@@ -104,11 +105,6 @@ def iv_ln_ratio(a: int, b: int):
         return (nextafter(lo, -INF), nextafter(hi, INF))
     lo, hi = math.log(math.ldexp(q, e)), math.log(math.ldexp(q + 1, e))
     return (nextafter(nextafter(lo, -INF), -INF), nextafter(nextafter(hi, INF), INF))
-
-
-def iv_acosh_of_logtrace(u):
-    """Enclosure of arccosh(t/2) given an enclosure u of ln t, t >= 3."""
-    return iv_add(u, iv_acosh_minus_log(u))
 
 
 _LOG_TAIL = (-2.0**-58, 0.0)  # iv_acosh_minus_log once u >= 21

@@ -44,7 +44,6 @@ from .intervals import (
     _dot_hi,
     _dot_lo,
     _up,
-    iv_acosh_half_int,
     iv_acosh_minus_log,
     iv_add,
     iv_ln_int,
@@ -140,11 +139,10 @@ def stable_norm_interval(v) -> NormInterval:
     when the reduced denominator exceeds 2**18: m(1/q) alone has ~1.4 q bits.
     """
     g, p, q = _reduced(v)
-    if q > 1 << 18:
+    if q > _EXACT_MAX_Q:
         raise AccuracyLimitError(f"reduced denominator {q} > 2**18: use the real-"
                                  "point route (norm_real; norm x y without --exact)")
-    m = markov_of_slope(p, q)
-    return NormInterval(*_scale(iv_acosh_half_int(3 * m), _scale_factor(g, 0)))
+    return NormInterval(*_lattice_norm(markov_of_slope(p, q), g, 0))
 
 
 def _scale(enc, factor):
@@ -156,14 +154,15 @@ def _scale(enc, factor):
     return out
 
 
-def _scale_factor(g: int, e: int):
-    """Enclosure of g * 2**e, for a norm's scale.  Past the float range it
-    raises AccuracyLimitError: every norm is at least arccosh(3/2) > 0.96
-    times its scale, so it is past the float range too."""
+def _lattice_norm(m: int, g: int, e: int):
+    """Enclosure of g 2**e arccosh(3m/2), the norm at g 2**e times the point of
+    Markov number m.  AccuracyLimitError past the float range, also when g 2**e
+    is: every norm is at least arccosh(3/2) > 0.96 times its scale."""
     try:
-        return _iv_from_int_pow2(g, e)
+        factor = _iv_from_int_pow2(g, e)
     except OverflowError:
         raise AccuracyLimitError("norm exceeds float range") from None
+    return _scale(_norm_parts(3 * m)[0], factor)
 
 
 def _iv_from_int_pow2(n: int, e: int):
@@ -184,6 +183,7 @@ def _iv_from_int_pow2(n: int, e: int):
     return (lo, hi)
 
 
+_EXACT_MAX_Q = 1 << 18  # stable_norm_interval's bound on the reduced denominator
 _EXACT_DENOMINATOR_CUTOFF = 512
 _TRACE_BITS = 4096  # norm_real's bound on the bit length of an exact trace
 
@@ -196,9 +196,8 @@ def _dyadic_direction(x: float, y: float):
     return nx * ((1 << k) // dx), ny * ((1 << k) // dy), k
 
 
-def _finish(enc_dir, factor, tol: float, reason: str):
-    """Scale a direction enclosure by factor and enforce the tolerance."""
-    enc = _scale(enc_dir, factor)
+def _finish(enc, tol: float, reason: str):
+    """Enforce the tolerance on a scaled enclosure."""
     out = NormInterval(max(enc[0], 0.0), enc[1])
     if out.width <= tol:
         return out
@@ -229,38 +228,38 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     g, pd, qd = _reduced((X, Y))
 
     if qd <= _EXACT_DENOMINATOR_CUTOFF:
-        enc = _norm_parts(3 * markov_of_slope(pd, qd))[0]
-        return _finish(enc, _scale_factor(g, -k), tol, "exact direction")
+        return _finish(_lattice_norm(markov_of_slope(pd, qd), g, -k), tol,
+                       "exact direction")
 
-    # Farey sandwich.  Each bracket end L, R carries (c, m, N, h, a): c = qd p -
+    # Farey sandwich.  Each bracket end L, R carries (c, m, N, a): c = qd p -
     # pd q, the exact cross product of its vector (q, p) with the direction
-    # (< 0 below, > 0 above), m, its norm enclosure N, h = N - ln 3m, and a,
-    # the enclosure of |c| 2**-j, converted once, when the end moves.  Each
-    # side also carries (b, N - N(O)) for the known boundary point O one step
-    # further out: b encloses (|c(O)| - |c|) 2**-j, the fixed end's a at the
-    # move.  The inner chord gives the upper bound a(R) N(L) + a(L) N(R), and
-    # each outer secant the lower bound b N + a (N - N(O)).  N - N(O) comes
-    # from the exact trace ratio, so that bound stays a few ulp wide along any
-    # run.  N - N(O) is positive once the side has moved, but before the right
-    # end first moves it is arccosh 3 - arccosh 7.5 < 0, which _dot_lo allows
-    # for.  Each run from _runs is one _recurrence_run, and the bounds are
-    # checked after every run.  A substep multiplies the mediant's trace 3m by
-    # less than the fixed end's trace, so a run is cut short of a trace past
-    # _TRACE_BITS bits; the rest of the run follows.
+    # (< 0 below, > 0 above), m, its norm enclosure N, and a, the enclosure
+    # of |c| 2**-j, converted once, when the end moves.  Each side also
+    # carries (b, N - N(O)) for the known boundary point O one step further
+    # out: b encloses (|c(O)| - |c|) 2**-j, the fixed end's a at the move.
+    # The inner chord gives the upper bound a(R) N(L) + a(L) N(R), and each
+    # outer secant the lower bound b N + a (N - N(O)).  N - N(O) is the exact
+    # trace ratio's ln(m / m(O)) plus h - h(O), with h = N - ln 3m, so that
+    # bound stays a few ulp wide along any run.  N - N(O) is positive once the
+    # side has moved, but before the right end first moves it is arccosh 3 -
+    # arccosh 7.5 < 0, which _dot_lo allows for.  Each run from _runs is one
+    # _recurrence_run, and the bounds are checked after every run.  A substep
+    # multiplies the mediant's trace 3m by less than the fixed end's trace, so
+    # a run is cut short of a trace past _TRACE_BITS bits; the rest follows.
     j = max(qd.bit_length() - 8, 0)
-    (n3, h3), (n6, h6), (n15, _) = _START
+    n3, n6, n15 = _START
     b0 = _iv_from_int_pow2(qd, -j)
-    ends = [(-pd, 1, n3, h3, _iv_from_int_pow2(pd, -j)),
-            (qd - pd, 2, n6, h6, _iv_from_int_pow2(qd - pd, -j))]
+    ends = [(-pd, 1, n3, _iv_from_int_pow2(pd, -j)),
+            (qd - pd, 2, n6, _iv_from_int_pow2(qd - pd, -j))]
     outs = [(b0, (0.0, 0.0)), (b0, iv_sub(n6, n15))]  # O = (1, -1) and (1, 2)
     m_med = 5
     # The norm is the scale g 2**(j - k) times the norm of the direction
     # (qd, pd) 2**-j.  The scale stays in the float range: g qd 2**-k <= |x|
     # + |y|, and qd > 512 makes j >= 2 and qd 2**-j >= 128.  The norm leaves it
     # once a lower bound times the scale's lower end rounds to inf.  That is
-    # checked at every bound, the first made before any run, since _finish,
-    # which scales by the same enclosure, would raise the same error only
-    # after the whole descent.
+    # checked at every bound, the first made before any run, since the last
+    # _scale, by the same enclosure, would raise the same error only after the
+    # whole descent.
     scale_lo, scale_hi = scale = _iv_from_int_pow2(g, j - k)
     scaled_tol = 0.9 * tol / scale_hi  # conservative, for the direction's enclosure
 
@@ -269,7 +268,7 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     substeps = run = 0
 
     while True:
-        (_, _, nl, _, al), (_, _, nr, _, ar) = ends
+        (_, _, nl, al), (_, _, nr, ar) = ends
         (bl, dl), (br, dr) = outs
         lo = max(lo, _dot_lo(bl, nl, al, dl), _dot_lo(br, nr, ar, dr))
         hi = min(hi, _dot_hi(ar, nl, al, nr))
@@ -283,41 +282,38 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         if not run:  # a new run: the side that moves and its length
             side, run = next(runs, (0, 0))
             if not run:  # the mediant lies on the direction
-                ex_lo, ex_hi = iv_mul(_norm_parts(3 * m_med)[0], _iv_from_int_pow2(1, -j))
+                ex_lo, ex_hi = _lattice_norm(m_med, 1, -j)
                 lo, hi = max(lo, ex_lo), min(hi, ex_hi)
                 if lo > hi:
                     raise InternalInconsistencyError("sandwich enclosures disagree")
                 reason = "exact hit"
                 break
-        (cs, ms, _, hs, _), (cf, mf, _, _, af) = ends[side], ends[1 - side]
+        (cs, ms, _, _), (cf, mf, _, af) = ends[side], ends[1 - side]
         room = (_TRACE_BITS - (3 * m_med).bit_length()) // (3 * mf).bit_length()
         n = min(run, room)
         if n == 0:
             reason = "trace bound"
             break
         m1, m_med = _recurrence_run(mf, ms, m_med, n)
-        m0, h0 = ms, hs  # O: the end before the last substep
-        if n > 1:
-            m0 = 3 * mf * m1 - m_med
-            # _norm_parts(3 * m0)[1], with no logarithm: a trace past the
-            # table has ln 3m0 >= 21, so its h is the constant tail.
-            parts = _SMALL_TRACES.get(3 * m0)
-            h0 = _LOG_TAIL if parts is None else parts[1]
+        m0 = ms if n == 1 else 3 * mf * m1 - m_med  # O: the end before the last substep
+        # h0 = _norm_parts(3 * m0)[1], with no logarithm: a trace past the
+        # table has ln 3m0 >= 21, so its h is the constant tail.
+        h0 = _SMALL_TRACES.get(3 * m0, (None, _LOG_TAIL))[1]
         n1, h1 = _norm_parts(3 * m1)
         c1 = cs + n * cf
-        ends[side] = (c1, m1, n1, h1, _iv_from_int_pow2(abs(c1), -j))
+        ends[side] = (c1, m1, n1, _iv_from_int_pow2(abs(c1), -j))
         outs[side] = (af, iv_add(iv_ln_ratio(m1, m0), iv_sub(h1, h0)))
         substeps += n
         run -= n
 
     counters = f"{substeps} substeps, {(3 * m_med).bit_length()}-bit trace"
-    return _finish((lo, hi), scale, tol, f"{reason}: {counters}")
+    return _finish(_scale((lo, hi), scale), tol, f"{reason}: {counters}")
 
 
 def _norm_parts(t: int):
     """Enclosures of arccosh(t/2) and of arccosh(t/2) - ln t, for t >= 3.
 
-    The first is bit for bit iv_acosh_half_int(t)."""
+    The first is bit for bit iv_acosh_half_int(t), the tests' reference."""
     parts = _SMALL_TRACES.get(t)
     if parts is None:
         u = iv_ln_int(t)
@@ -333,7 +329,7 @@ def _norm_parts(t: int):
 _SMALL_TRACES = {}
 _SMALL_TRACES.update({3 * m: _norm_parts(3 * m)
                       for _, _, m in _walk_values(((1 << 31) - 1) // 3)})
-_START = [_SMALL_TRACES[t] for t in (3, 6, 15)]  # at (1, 0), (1, 1) and (1, 2)
+_START = [_SMALL_TRACES[t][0] for t in (3, 6, 15)]  # N at (1, 0), (1, 1) and (1, 2)
 
 
 def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:

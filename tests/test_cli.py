@@ -308,6 +308,25 @@ def test_ball_usage_errors_return_before_the_sample(capsys, monkeypatch, argv):
     assert code == 2 and out == "" and "--witness" in err
 
 
+def test_ball_witness_denominator_limit(capsys, monkeypatch):
+    # m(p/q) has about 1.4 q bits, so a witness past stable_norm_interval's
+    # q <= 2**18 is a usage error, raised before any norm or sample.
+    def forbidden(*args):
+        raise AssertionError("the witness norm was computed")
+
+    monkeypatch.setattr(cli, "stable_norm", forbidden)
+    monkeypatch.setattr(cli, "ball_boundary_sample", forbidden)
+    code, out, err = run(
+        capsys, "ball", "--max-q", "2", "--format", "svg", "--witness", "262145,1")
+    assert code == 2 and out == ""
+    assert "--witness" in err and "262145 > 2**18" in err
+    monkeypatch.undo()
+    # (524288, 2) reduces to twice (2**18, 1), at the limit.
+    code, out, _ = run(
+        capsys, "ball", "--max-q", "2", "--format", "svg", "--witness", "524288,2")
+    assert code == 0 and out.count("<line") == 3
+
+
 def test_out_flag_writes_stdout_payload(capsys, tmp_path):
     target = tmp_path / "tree.json"
     code, out, _ = run(capsys, "tree", "--depth", "1", "--out", str(target))

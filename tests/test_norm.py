@@ -1,9 +1,12 @@
 """Tests for the stable norm: symmetry group, exact values, real extension."""
 
+import importlib.util
+import itertools
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -32,6 +35,7 @@ from markovnorm.intervals import (
     iv_acosh_minus_log,
     iv_add,
     iv_ln_int,
+    iv_mul,
 )
 from markovnorm.norm import (
     _SMALL_TRACES,
@@ -148,6 +152,18 @@ def test_stable_norm_interval_brackets_float_value():
         assert lo <= stable_norm(v) <= hi
 
 
+def test_stable_norm_interval_is_the_scaled_reference():
+    # stable_norm_interval reads the small traces from _SMALL_TRACES; its
+    # enclosure is still bit for bit g times iv_acosh_half_int(3m).
+    for x in range(-40, 41):
+        for y in range(-40, 41):
+            if (x, y) != (0, 0):
+                g, p, q = _reduced((x, y))
+                n = iv_acosh_half_int(3 * markov_of_slope_via_trace(p, q))
+                expected = NormInterval(*iv_mul(n, _iv_from_int_pow2(g, 0)))
+                assert stable_norm_interval((x, y)) == expected, (x, y)
+
+
 def test_stable_norm_rejects_zero():
     with pytest.raises(PreconditionViolatedError):
         stable_norm((0, 0))
@@ -246,7 +262,7 @@ def test_from_int_contains_and_is_tight(n, e):
 
 
 def test_from_int_past_the_float_range_raises():
-    # math.ldexp raises rather than return inf, and _scale_factor catches it.
+    # math.ldexp raises rather than return inf, and _lattice_norm catches it.
     for n in (2**1024, (2**53 - 1) << 971):
         with pytest.raises(OverflowError):
             _iv_from_int_pow2(n, 0)
@@ -408,11 +424,51 @@ def test_small_trace_table_holds_the_computed_parts():
         assert n == iv_add(u, h) == iv_acosh_half_int(t)
 
 
+def seed1_norm_points(count):
+    """The first count stratum-1/2 points of the norm-real workload at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    points = ((x, y, tol) for x, y, tol, stratum, _ in workloads.norm_points(1)
+              if stratum in (1, 2))
+    return list(itertools.islice(points, count))
+
+
+def test_norm_real_moves_take_h_of_their_own_traces(monkeypatch):
+    # Each move of a bracket end sets the outer secant's N1 - N0 to
+    # ln(m1 / m0) + (h1 - h0), with h = arccosh(3m/2) - ln 3m.  A wrong h
+    # keeps every enclosure valid but loosens it, so only h itself shows it.
+    moves, pending = [], []
+    real_ratio, real_sub = markovnorm.norm.iv_ln_ratio, markovnorm.norm.iv_sub
+
+    def ratio(m1, m0):
+        pending.append((m1, m0))
+        return real_ratio(m1, m0)
+
+    def sub(a, b):
+        if pending:  # the iv_sub(h1, h0) right after iv_ln_ratio(m1, m0)
+            moves.append((*pending.pop(), a, b))
+        return real_sub(a, b)
+
+    monkeypatch.setattr(markovnorm.norm, "iv_ln_ratio", ratio)
+    monkeypatch.setattr(markovnorm.norm, "iv_sub", sub)
+    for x, y, tol in seed1_norm_points(300):
+        norm_real(x, y, tol)
+    h_of = lambda m: iv_acosh_minus_log(iv_ln_int(3 * m))
+    assert len(moves) > 500
+    assert any(3 * m0 in _SMALL_TRACES for _, m0, _, _ in moves)
+    assert any(3 * m0 not in _SMALL_TRACES for _, m0, _, _ in moves)
+    for m1, m0, h1, h0 in moves:
+        assert (h1, h0) == (h_of(m1), h_of(m0)), (m1, m0)
+
+
 def test_norm_real_runs_no_exp(monkeypatch):
     # Small traces come from the table and larger ones take the closed-form
-    # tail, so after import no exit reaches the exp/sqrt/log1p chain.
+    # tail, so after import no exit of norm_real, and no stable_norm_interval,
+    # reaches the exp/sqrt/log1p chain.
     def forbidden(*args):
-        raise AssertionError("norm_real reached iv_exp")
+        raise AssertionError("iv_exp reached")
 
     monkeypatch.setattr(markovnorm.intervals, "iv_exp", forbidden)
     for x, y, tol in [
@@ -428,6 +484,8 @@ def test_norm_real_runs_no_exp(monkeypatch):
     ]:
         with pytest.raises(AccuracyLimitError, match=f"^{exit_name}"):
             norm_real(x, y, tol)
+    for v in [(3, 2), (1, 1), (1, 0)]:
+        stable_norm_interval(v)
 
 
 @pytest.mark.parametrize("x, y", [
