@@ -36,7 +36,7 @@ from .indexing import (
     parse_slope,
     stern_brocot_path,
 )
-from .norm import (_EXACT_MAX_Q, _reduced, ball_boundary_sample, norm_real,
+from .norm import (_EXACT_MAX_Q, _ball_cone, _ball_orbit, _reduced, norm_real,
                    stable_norm, stable_norm_interval)
 from .triples import enumerate_tree
 
@@ -91,9 +91,34 @@ def cmd_verify(args) -> int:
     return 0 if all(r.verified for r in reports) else 1
 
 
+# ball's cost grows with the max_q**2 * 3 / pi**2 cone points, each drawn in
+# 12 sectors.  Measured for --format svg on a 2-vCPU VM (time, peak memory):
+#   max_q  400: 0.55 s, 120 MB     max_q  800: 1.9 s, 406 MB
+#   max_q  512: 0.65 s, 183 MB     max_q 1024: 3.3 s, 649 MB
+_BALL_MAX_Q = 512
+
+
+def _ball_points(max_q: int, fmt) -> list[str]:
+    """ball_boundary_sample(max_q) as "x,y" texts, fmt applied to each float.
+
+    Every coordinate is (e q + f p) / n for one of the six rows (e, f) of the
+    group, so each row's value is computed as there and formatted once per
+    cone point, and each sector joins the texts of its two rows.
+    """
+    cone = _ball_cone(max_q)
+    texts = {}  # row (e, f) -> fmt((e q + f p) / n) over the cone
+    points = []
+    for (a, b, c, d), cut in _ball_orbit():
+        for e, f in ((a, b), (c, d)):
+            if (e, f) not in texts:
+                texts[e, f] = [fmt((e * q + f * p) / n) for q, p, n in cone]
+        points += map(",".join, zip(texts[a, b][cut], texts[c, d][cut]))
+    return points
+
+
 def _svg_ball(points, witness) -> str:
     fmt = lambda v: f"{v:.10f}"
-    coords = " ".join(["%.10f,%.10f" % xy for xy in points + points[:1]])
+    coords = " ".join(points + points[:1])
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">',
         '<g transform="scale(1,-1)">',
@@ -116,8 +141,11 @@ def _svg_ball(points, witness) -> str:
 
 
 def cmd_ball(args) -> int:
+    # usage errors before the sample is built
+    if args.max_q > _BALL_MAX_Q:
+        raise PreconditionViolatedError(f"--max-q: {args.max_q} > {_BALL_MAX_Q}")
     witness = None
-    if args.witness is not None:  # usage errors before the sample is built
+    if args.witness is not None:
         if args.format == "csv":
             raise PreconditionViolatedError("--witness requires --format svg")
         try:
@@ -131,11 +159,10 @@ def cmd_ball(args) -> int:
         if q > _EXACT_MAX_Q:
             raise PreconditionViolatedError(f"--witness: reduced denominator {q} > 2**18")
         witness = (wq, wp)
-    points = ball_boundary_sample(args.max_q)
     if args.format == "csv":
-        _emit("".join(f"{x!r},{y!r}\n" for x, y in points), args.out)
+        _emit("\n".join(_ball_points(args.max_q, repr)) + "\n", args.out)
     else:
-        _emit(_svg_ball(points, witness), args.out)
+        _emit(_svg_ball(_ball_points(args.max_q, "%.10f".__mod__), witness), args.out)
     return 0
 
 

@@ -332,25 +332,37 @@ _SMALL_TRACES.update({3 * m: _norm_parts(3 * m)
 _START = [_SMALL_TRACES[t][0] for t in (3, 6, 15)]  # N at (1, 0), (1, 1) and (1, 2)
 
 
+def _ball_cone(max_q: int) -> list[tuple[int, int, float]]:
+    """(q, p, stable_norm((q, p))) for every cone point with q <= max_q, by p/q.
+
+    Raises OutOfRangeError when max_q < 1.  The float key p/q keeps the order
+    of the fractions: two with q <= 2**26 differ by at least 2**-52, more than
+    the rounding of both, and no table anywhere near that size can be built.
+    """
+    return [(q, p, _acosh_half_float(3 * m))
+            for (p, q), m in sorted(markov_table(max_q).items(),
+                                    key=lambda item: item[0].p / item[0].q)]
+
+
+def _ball_orbit():
+    """Each symmetry in _SECTORS with the slice of the sorted cone it maps
+    onto its sector in angular order: reversed when its determinant is -1,
+    and without the sector's start ray, on which the previous sector ends.
+    _SECTORS holds the sectors in turn from -pi."""
+    for g in _SECTORS:
+        a, b, c, d = g
+        yield g, slice(1, None) if a * d - b * c == 1 else slice(-2, None, -1)
+
+
 def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:
     """Points v / ||v|| for every primitive v with cone denominator <= max_q.
 
     The full symmetry orbit is emitted, deduplicated, sorted by angle in
-    (-pi, pi].  Raises OutOfRangeError when max_q < 1.
-
-    The cone is sorted once, by p/q.  That float key keeps the order of the
-    fractions: two with q <= 2**26 differ by at least 2**-52, more than the
-    rounding of both, and no table anywhere near that size can be built.
-    Each symmetry in _SECTORS maps the sorted cone onto its sector in
-    angular order, reversed when its determinant is -1, and _SECTORS holds
-    the sectors in turn from -pi.
+    (-pi, pi].  Raises OutOfRangeError when max_q < 1.  The CLI formats the
+    same floats from _ball_cone and _ball_orbit directly: every coordinate is
+    (e q + f p) / n for one of six rows (e, f) of the group, so it formats
+    each row's value once per cone point, not once per orbit point.
     """
-    cone = [(q, p, _acosh_half_float(3 * m))  # n = stable_norm((q, p))
-            for (p, q), m in sorted(markov_table(max_q).items(),
-                                    key=lambda item: item[0].p / item[0].q)]
-    points = []
-    for a, b, c, d in _SECTORS:
-        # Drop the sector's start ray: the previous sector ends on it.
-        sector = cone[1:] if a * d - b * c == 1 else cone[-2::-1]
-        points += [((a * q + b * p) / n, (c * q + d * p) / n) for q, p, n in sector]
-    return points
+    cone = _ball_cone(max_q)
+    return [((a * q + b * p) / n, (c * q + d * p) / n)
+            for (a, b, c, d), cut in _ball_orbit() for q, p, n in cone[cut]]

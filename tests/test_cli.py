@@ -8,6 +8,7 @@ the installed entry point wiring.
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ import pytest
 import markovnorm.conjectures as conjectures
 from markovnorm import (
     CheckResult,
+    ball_boundary_sample,
     enumerate_tree,
     markov_numbers_up_to,
     markov_of_slope_via_trace,
@@ -278,6 +280,25 @@ def test_ball_csv(capsys):
     assert angles == sorted(angles)
 
 
+@pytest.mark.parametrize("max_q", [1, 2, 3, 40])
+def test_ball_documents_format_ball_boundary_sample(capsys, max_q):
+    # Both documents are the library's floats formatted in order: repr per
+    # CSV row, "%.10f" in the SVG polyline, which closes on its first point.
+    # Compared as text, not by digest, since the floats come from libm; as
+    # lists, so that a failure reports its first index without a long diff.
+    pts = ball_boundary_sample(max_q)
+    code, out, _ = run(capsys, "ball", "--max-q", str(max_q), "--format", "csv")
+    assert code == 0
+    assert out.splitlines(True) == [f"{x!r},{y!r}\n" for x, y in pts]
+    coords = " ".join("%.10f,%.10f" % xy for xy in pts + pts[:1])
+    for witness in ((), ("--witness", "7,3")):
+        code, out, _ = run(
+            capsys, "ball", "--max-q", str(max_q), "--format", "svg", *witness)
+        assert code == 0
+        assert re.findall(r' points="([^"]*)"', out) == [coords]
+        assert out.count("<line") == (3 if witness else 0)
+
+
 def test_ball_svg_witness(capsys):
     code, out, _ = run(
         capsys, "ball", "--max-q", "2", "--format", "svg", "--witness", "2,1")
@@ -301,11 +322,22 @@ def test_ball_witness_requires_svg(capsys):
 ])
 def test_ball_usage_errors_return_before_the_sample(capsys, monkeypatch, argv):
     def sample(max_q):
-        raise AssertionError("ball_boundary_sample called")
+        raise AssertionError("the ball sample was built")
 
-    monkeypatch.setattr(cli, "ball_boundary_sample", sample)
+    monkeypatch.setattr(cli, "_ball_cone", sample)
     code, out, err = run(capsys, "ball", "--max-q", "400", *argv)
     assert code == 2 and out == "" and "--witness" in err
+
+
+def test_ball_max_q_limit(capsys, monkeypatch):
+    def sample(max_q):
+        raise AssertionError("the ball sample was built")
+
+    monkeypatch.setattr(cli, "_ball_cone", sample)
+    for fmt in ("csv", "svg"):
+        code, out, err = run(capsys, "ball", "--max-q", "513", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "--max-q: 513 > 512" in err
 
 
 def test_ball_witness_denominator_limit(capsys, monkeypatch):
@@ -315,7 +347,7 @@ def test_ball_witness_denominator_limit(capsys, monkeypatch):
         raise AssertionError("the witness norm was computed")
 
     monkeypatch.setattr(cli, "stable_norm", forbidden)
-    monkeypatch.setattr(cli, "ball_boundary_sample", forbidden)
+    monkeypatch.setattr(cli, "_ball_cone", forbidden)
     code, out, err = run(
         capsys, "ball", "--max-q", "2", "--format", "svg", "--witness", "262145,1")
     assert code == 2 and out == ""
