@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Every subcommand prints one machine-readable document (JSON, CSV, or SVG)
-to standard output or to --out FILE.  Big integers are rendered as decimal
-strings so no value ever passes through floating point on an output path.
-Wall-clock time goes to stderr only, keeping the data byte-reproducible.
+to standard output or to --out FILE, through the one writer ``_output``.
+``tree`` writes its document level by level and ``ball`` sector by sector,
+so their memory follows one level or one sector, not the document; the
+others write theirs whole.  Big integers are rendered as decimal strings so
+no value ever passes through floating point on an output path.  Wall-clock
+time goes to stderr only, keeping the data byte-reproducible.
 
 Exit codes: 0 success / property verified, 1 mathematical violation or
 failed certification (AccuracyLimitError, its reason on stderr), 2 usage
@@ -13,10 +16,12 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
+from itertools import chain, islice
 
 from .conjectures import (
     FAMILIES,
@@ -38,14 +43,20 @@ from .indexing import (
 )
 from .norm import (_EXACT_MAX_Q, _ball_cone, _ball_orbit, _reduced, norm_real,
                    stable_norm, stable_norm_interval)
-from .triples import enumerate_tree
+from .triples import SPINE, enumerate_tree
 
-def _emit(text: str, out: str | None):
+
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The write method of stdout, or of FILE for --out FILE.
+
+    Each subcommand opens it only after its usage checks, so an invalid
+    call writes nothing and creates no file."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh.write
 
 
 def _json(payload) -> str:
@@ -56,7 +67,7 @@ def cmd_slope(args) -> int:
     slope = parse_slope(args.fraction)
     path = "" if slope.q == 1 else stern_brocot_path(slope.p, slope.q)
     trace = mat_trace(christoffel_matrix(slope.p, slope.q))
-    _emit(_json({
+    text = _json({
         "p": slope.p,
         "q": slope.q,
         "markov": str(markov_of_slope(slope.p, slope.q)),
@@ -64,7 +75,9 @@ def cmd_slope(args) -> int:
         "christoffelWord": christoffel_word(slope.p, slope.q),
         "trace": str(trace),
         "stableNorm": stable_norm((slope.q, slope.p)),
-    }), args.out)
+    })
+    with _output(args.out) as write:
+        write(text)
     return 0
 
 
@@ -78,7 +91,7 @@ def cmd_verify(args) -> int:
         reports = [verify_family(f, args.max, table) for f in FAMILIES]
     else:
         reports = [verify_family(args.family, args.max)]
-    _emit(_json({
+    text = _json({
         "reports": [{
             "family": r.family,
             "bound": str(r.bound),
@@ -87,61 +100,72 @@ def cmd_verify(args) -> int:
             "verified": r.verified,
         } for r in reports],
         "verified": all(r.verified for r in reports),
-    }), args.out)
+    })
+    with _output(args.out) as write:
+        write(text)
     return 0 if all(r.verified for r in reports) else 1
 
 
 # ball's cost grows with the max_q**2 * 3 / pi**2 cone points, each drawn in
-# 12 sectors.  Measured for --format svg on a 2-vCPU VM (time, peak memory):
-#   max_q  400: 0.55 s, 120 MB     max_q  800: 1.9 s, 406 MB
-#   max_q  512: 0.65 s, 183 MB     max_q 1024: 3.3 s, 649 MB
+# 12 sectors.  Measured in process for --format svg on a 2-vCPU VM, written
+# sector by sector (time, peak memory):
+#   max_q  400: 0.34 s,  53 MB     max_q  800: 1.8 s, 169 MB
+#   max_q  512: 0.58 s,  78 MB     max_q 1024: 3.4 s, 269 MB
 _BALL_MAX_Q = 512
 
 
-def _ball_points(max_q: int, fmt) -> list[str]:
-    """ball_boundary_sample(max_q) as "x,y" texts, fmt applied to each float.
+def _ball_sectors(cone, fmt):
+    """ball_boundary_sample's points as "x,y" texts, fmt applied to each
+    float, one list per sector of the group in turn; cone is _ball_cone's.
 
     Every coordinate is (e q + f p) / n for one of the six rows (e, f) of the
     group, so each row's value is computed as there and formatted once per
-    cone point, and each sector joins the texts of its two rows.
+    cone point, and each sector joins the texts of its two rows.  The six
+    rows are held throughout, the points of one sector at a time.
     """
-    cone = _ball_cone(max_q)
     texts = {}  # row (e, f) -> fmt((e q + f p) / n) over the cone
-    points = []
     for (a, b, c, d), cut in _ball_orbit():
         for e, f in ((a, b), (c, d)):
             if (e, f) not in texts:
                 texts[e, f] = [fmt((e * q + f * p) / n) for q, p, n in cone]
-        points += map(",".join, zip(texts[a, b][cut], texts[c, d][cut]))
-    return points
+        yield list(map(",".join, zip(texts[a, b][cut], texts[c, d][cut])))
 
 
-def _svg_ball(points, witness) -> str:
+def _witness_lines(witness) -> str:
+    """The three comparison lines through witness / ||witness||, as SVG."""
+    if witness is None:
+        return ""
     fmt = lambda v: f"{v:.10f}"
-    coords = " ".join(points + points[:1])
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">',
-        '<g transform="scale(1,-1)">',
-        f'<polyline fill="none" stroke="black" stroke-width="0.006" points="{coords}"/>',
-    ]
-    if witness is not None:
-        wq, wp = witness
-        n = stable_norm((wq, wp))
-        x0, y0 = wq / n, wp / n
-        lines = (
-            (x0, -1.25, x0, 1.25),                      # vertical through the point
-            (-1.25, y0, 1.25, y0),                      # horizontal
-            (x0 - 2.5, y0 + 2.5, x0 + 2.5, y0 - 2.5),   # diagonal x + y = const
-        )
-        for x1, y1, x2, y2 in lines:
-            parts.append(f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" '
-                         f'y2="{fmt(y2)}" stroke="red" stroke-width="0.004"/>')
-    parts += ["</g>", "</svg>", ""]
-    return "\n".join(parts)
+    wq, wp = witness
+    n = stable_norm((wq, wp))
+    x0, y0 = wq / n, wp / n
+    lines = (
+        (x0, -1.25, x0, 1.25),                      # vertical through the point
+        (-1.25, y0, 1.25, y0),                      # horizontal
+        (x0 - 2.5, y0 + 2.5, x0 + 2.5, y0 - 2.5),   # diagonal x + y = const
+    )
+    return "".join(f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" '
+                   f'y2="{fmt(y2)}" stroke="red" stroke-width="0.004"/>\n'
+                   for x1, y1, x2, y2 in lines)
+
+
+def _write_svg_ball(write, cone, overlay: str):
+    write('<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">\n'
+          '<g transform="scale(1,-1)">\n'
+          '<polyline fill="none" stroke="black" stroke-width="0.006" points="')
+    sectors = _ball_sectors(cone, "%.10f".__mod__)
+    points = next(sectors)
+    start = points[0]  # the polyline closes on its first point
+    write(" ".join(points))
+    for points in sectors:
+        write(" " + " ".join(points))
+    write(f' {start}"/>\n{overlay}</g>\n</svg>\n')
 
 
 def cmd_ball(args) -> int:
     # usage errors before the sample is built
+    if args.max_q < 1:
+        raise PreconditionViolatedError(f"--max-q: {args.max_q} < 1")
     if args.max_q > _BALL_MAX_Q:
         raise PreconditionViolatedError(f"--max-q: {args.max_q} > {_BALL_MAX_Q}")
     witness = None
@@ -159,26 +183,65 @@ def cmd_ball(args) -> int:
         if q > _EXACT_MAX_Q:
             raise PreconditionViolatedError(f"--witness: reduced denominator {q} > 2**18")
         witness = (wq, wp)
+    cone = _ball_cone(args.max_q)
     if args.format == "csv":
-        _emit("\n".join(_ball_points(args.max_q, repr)) + "\n", args.out)
+        with _output(args.out) as write:
+            for points in _ball_sectors(cone, repr):
+                write("\n".join(points) + "\n")
     else:
-        _emit(_svg_ball(_ball_points(args.max_q, "%.10f".__mod__), witness), args.out)
+        overlay = _witness_lines(witness)
+        with _output(args.out) as write:
+            _write_svg_ball(write, cone, overlay)
     return 0
 
 
-# tree writes its document node by node.  Each node is laid out as _json
-# lays it out at its depth; paths are L/R only and entries decimal digits,
-# so the "%s" and "%d" fields need no escaping.
-_TREE_NODE = "\n".join("    " + line for line in
-                       _json({"path": "%s", "triple": ["%d"] * 3}).splitlines())
+# tree's document grows about 8x every two levels, since entries roughly
+# square along the fastest branch.  Measured in process on a 2-vCPU VM,
+# written level by level (time, peak memory, document):
+#   depth 12: 0.02 s,  23 MB, 2.7 MB     depth 15: 0.6 s, 142 MB,  58 MB
+#   depth 14: 0.21 s,  74 MB,  20 MB     depth 16: 2.8 s, 371 MB, 166 MB
+_TREE_MAX_DEPTH = 15
+
+# One tree node as _json lays it out at its depth, cut at its four fields;
+# paths are L/R only and entries decimal digits, so no field needs escaping.
+_TREE_NODE = "\n".join("    " + line for line in _json(
+    {"path": "@", "triple": ["@"] * 3}).splitlines()).split("@")
 
 
 def cmd_tree(args) -> int:
-    nodes = ",\n".join([_TREE_NODE % (path, a, b, c)
-                        for path, (a, b, c) in enumerate_tree(args.depth)])
-    _emit('{\n  "depth": %d,\n  "nodes": [\n%s\n  ]\n}\n' % (args.depth, nodes),
-          args.out)
+    depth = args.depth
+    if depth < 0:
+        raise PreconditionViolatedError(f"--depth: {depth} < 0")
+    if depth > _TREE_MAX_DEPTH:
+        raise PreconditionViolatedError(f"--depth: {depth} > {_TREE_MAX_DEPTH}")
+    n0, n1, n2, n3, n4 = _TREE_NODE
+    nodes = enumerate_tree(depth)
+    # A child's sorted triple is one of its parent's two smaller entries, its
+    # parent's largest, then its new mediant.  So each node converts only its
+    # mediant to decimal, and takes the other two strings from its parent, at
+    # i >> 1 in the level above, matching the smaller entry by value.  Above
+    # (1,2,5) stands (1,1,2), its parent on the spine.
+    above, digits = [("", SPINE[1])], [("1", "1", "2")]
+    with _output(args.out) as write:
+        write('{\n  "depth": %d,\n  "nodes": [\n' % depth)
+        for d in range(depth + 1):
+            level = list(islice(nodes, 1 << d))
+            digits = [(small if t[0] == parent[0] else mid, large, str(t[2]))
+                      for (_, t), (_, parent), (small, mid, large)
+                      in zip(level, _twice(above), _twice(digits))]
+            if d:
+                write(",\n")
+            write(",\n".join([
+                f"{n0}{path}{n1}{a}{n2}{b}{n3}{c}{n4}"
+                for (path, _), (a, b, c) in zip(level, digits)]))
+            above = level
+        write("\n  ]\n}\n")
     return 0
+
+
+def _twice(items):
+    """Each item twice in a row: the parent of both its children."""
+    return chain.from_iterable(zip(items, items))
 
 
 def cmd_norm(args) -> int:
@@ -202,10 +265,12 @@ def cmd_norm(args) -> int:
         if ex.interval is not None:
             payload.update(lo=ex.interval.lo, hi=ex.interval.hi,
                            width=ex.interval.width)
-        _emit(_json(payload), args.out)
+        with _output(args.out) as write:
+            write(_json(payload))
         raise  # main reports the reason and exits 1
     payload.update(lo=enc.lo, hi=enc.hi, width=enc.width)
-    _emit(_json(payload), args.out)
+    with _output(args.out) as write:
+        write(_json(payload))
     return 0
 
 
@@ -221,9 +286,10 @@ def cmd_count(args) -> int:
             rec["lattice"] = pt.count
             rec["offset"] = 0
         records.append(rec)
-    _emit(_json({"points": records,
-                 "note": "cEstimate = count / (ln bound)^2, natural log"}),
-          args.out)
+    text = _json({"points": records,
+                  "note": "cEstimate = count / (ln bound)^2, natural log"})
+    with _output(args.out) as write:
+        write(text)
     return 0
 
 
@@ -243,7 +309,8 @@ def cmd_frobenius(args) -> int:
     if args.list:
         parts += [',\n  "markovNumbers": ', _digit_list(distinct)]
     parts.append(',\n  "valueCount": %d\n}\n' % len(distinct))
-    _emit("".join(parts), args.out)
+    with _output(args.out) as write:
+        write("".join(parts))
     return 0 if not duplicates else 1
 
 

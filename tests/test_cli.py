@@ -6,11 +6,13 @@ the installed entry point wiring.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +342,19 @@ def test_ball_max_q_limit(capsys, monkeypatch):
         assert "--max-q: 513 > 512" in err
 
 
+def test_ball_max_q_below_one_names_the_flag(capsys, monkeypatch, tmp_path):
+    def sample(max_q):
+        raise AssertionError("the ball sample was built")
+
+    monkeypatch.setattr(cli, "_ball_cone", sample)
+    target = tmp_path / "ball"
+    for max_q in ("0", "-3"):
+        code, out, err = run(capsys, "ball", "--max-q", max_q, "--out", str(target))
+        assert code == 2 and out == ""
+        assert f"--max-q: {max_q} < 1" in err
+        assert not target.exists()
+
+
 def test_ball_witness_denominator_limit(capsys, monkeypatch):
     # m(p/q) has about 1.4 q bits, so a witness past stable_norm_interval's
     # q <= 2**18 is a usage error, raised before any norm or sample.
@@ -360,11 +375,50 @@ def test_ball_witness_denominator_limit(capsys, monkeypatch):
 
 
 def test_out_flag_writes_stdout_payload(capsys, tmp_path):
+    # tree and ball write level by level and sector by sector, through the
+    # same writer as stdout.
+    target = tmp_path / "doc"
+    for argv in (
+        ("tree", "--depth", "0"),
+        ("tree", "--depth", "1"),
+        ("tree", "--depth", "5"),
+        ("tree", "--depth", "9"),
+        ("ball", "--max-q", "40", "--format", "csv"),
+        ("ball", "--max-q", "40", "--format", "svg", "--witness", "7,3"),
+    ):
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        code2, out2, _ = run(capsys, *argv)
+        assert code2 == 0
+        assert target.read_text(encoding="utf-8") == out2, argv
+
+
+@pytest.mark.parametrize("too_deep", [True, False], ids=["too-deep", "negative"])
+def test_tree_depth_rules_write_nothing(capsys, monkeypatch, tmp_path, too_deep):
+    limit = cli._TREE_MAX_DEPTH
+    depth, message = (limit + 1, f"--depth: {limit + 1} > {limit}") if too_deep else (
+        -1, "--depth: -1 < 0")
+
+    def walk(depth):
+        raise AssertionError("the tree walk was started")
+
+    monkeypatch.setattr(cli, "enumerate_tree", walk)
+    code, out, err = run(capsys, "tree", "--depth", str(depth))
+    assert code == 2 and out == "" and message in err
     target = tmp_path / "tree.json"
-    code, out, _ = run(capsys, "tree", "--depth", "1", "--out", str(target))
-    assert code == 0
-    code2, out2, _ = run(capsys, "tree", "--depth", "1")
-    assert target.read_text() == out2
+    code, out, err = run(capsys, "tree", "--depth", str(depth), "--out", str(target))
+    assert code == 2 and out == "" and message in err
+    assert not target.exists()
+
+
+def test_tree_depth_limit_sits_above_the_scan_workload():
+    # perfbench's scan workload runs the deepest tree in use; the tests run
+    # at most depth 9 and the README 4.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert 9 <= workloads.SCAN_SIZES["tree_depth"] <= cli._TREE_MAX_DEPTH
 
 
 def test_output_is_deterministic(capsys):

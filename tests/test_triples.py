@@ -174,6 +174,23 @@ def test_enumerate_tree_yields_ascending_triples():
         assert list(t) == sorted(t)
 
 
+@pytest.mark.parametrize("depth", range(11))
+def test_tree_levels_are_enumerate_tree_and_children(depth):
+    # The level walk flattened is enumerate_tree: the same paths and the
+    # same triples, sorted.  Each level is also the children() of the one
+    # above, in order, and children() orients through the reduction chain,
+    # not through the walk.
+    levels = list(triples._tree_levels(depth))
+    assert [(path, tuple(sorted(node)))
+            for paths, nodes in levels for path, node in zip(paths, nodes)] == [
+        (path, tuple(t)) for path, t in enumerate_tree(depth)]
+    above = [BINARY_ROOT]
+    for d, (paths, nodes) in enumerate(levels):
+        assert len(paths) == len(nodes) == 2**d
+        assert [tuple(sorted(node)) for node in nodes] == above
+        above = [tuple(c) for t in above for c in children(t)]
+
+
 def _slope_labelled_walk(bound):
     """The spine (1,1,1) and (1,1,2) where they fit, then (m(left end),
     m(right end), m(mediant)) of every Farey node whose mediant value is
