@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -81,7 +82,18 @@ def cmd_slope(args) -> int:
     return 0
 
 
+# verify's integer families cost one markov_table(--max): about 0.3 max**2
+# slopes, whose Markov numbers grow to about 1.4 max bits.  Measured in
+# process for verify all on a 2-vCPU VM (time over two runs, peak memory):
+#   max  150: 0.02 s,       16 MB     max 1000: 1.6-2.0 s, 121 MB
+#   max  500: 0.39-0.48 s,  34 MB     max 1400: 3.3 s,     266 MB
+#   max  700: 0.61-0.91 s,  58 MB
+_VERIFY_MAX = 1000
+
+
 def cmd_verify(args) -> int:
+    if args.family != "theorem1" and args.max > _VERIFY_MAX:  # before any table
+        raise PreconditionViolatedError(f"--max: {args.max} > {_VERIFY_MAX}")
     if args.family == "theorem1":
         reports = [verify_theorem1_random(args.samples, tol=args.tol,
                                           seed=args.seed)]
@@ -314,6 +326,7 @@ def cmd_frobenius(args) -> int:
     return 0 if not duplicates else 1
 
 
+@functools.cache  # built once per process: main parses many argvs with it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markovnorm",

@@ -18,7 +18,7 @@ import itertools
 import random
 import time
 from math import gcd, isfinite
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import NamedTuple
 
 from .errors import AccuracyLimitError, PreconditionViolatedError
@@ -238,6 +238,8 @@ def _collect_by_value(value_bound: int) -> tuple[list[int], list[int]]:
         assert ml * ml + mr * mr == mm * (3 * ml * mr - mm)  # Markov's equation
         found.append(mm)
     found.sort()
+    if not any(map(eq, found, itertools.islice(found, 1, None))):
+        return found, []  # no equal neighbours, so every value is distinct
     repeated = (a for a, b in zip(found, found[1:]) if a == b)
     return ([v for v, _ in itertools.groupby(found)],
             [v for v, _ in itertools.groupby(repeated)])

@@ -196,13 +196,14 @@ def _dyadic_direction(x: float, y: float):
     return nx * ((1 << k) // dx), ny * ((1 << k) // dy), k
 
 
-def _finish(enc, tol: float, reason: str):
-    """Enforce the tolerance on a scaled enclosure."""
+def _finish(enc, tol: float, reason: str, *args):
+    """Enforce the tolerance on a scaled enclosure.  The error's message starts
+    with reason % args, formatted only when it is raised."""
     out = NormInterval(max(enc[0], 0.0), enc[1])
     if out.width <= tol:
         return out
     raise AccuracyLimitError(
-        f"{reason}; width {out.width:.3g} > tol {tol:.3g}", interval=out
+        f"{reason % args}; width {out.width:.3g} > tol {tol:.3g}", interval=out
     )
 
 
@@ -234,24 +235,27 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     # Farey sandwich.  Each bracket end L, R carries (c, m, N, a): c = qd p -
     # pd q, the exact cross product of its vector (q, p) with the direction
     # (< 0 below, > 0 above), m, its norm enclosure N, and a, the enclosure
-    # of |c| 2**-j, converted once, when the end moves.  Each side also
-    # carries (b, N - N(O)) for the known boundary point O one step further
-    # out: b encloses (|c(O)| - |c|) 2**-j, the fixed end's a at the move.
-    # The inner chord gives the upper bound a(R) N(L) + a(L) N(R), and each
-    # outer secant the lower bound b N + a (N - N(O)).  N - N(O) is the exact
-    # trace ratio's ln(m / m(O)) plus h - h(O), with h = N - ln 3m, so that
-    # bound stays a few ulp wide along any run.  N - N(O) is positive once the
-    # side has moved, but before the right end first moves it is arccosh 3 -
-    # arccosh 7.5 < 0, which _dot_lo allows for.  Each run from _runs is one
-    # _recurrence_run, and the bounds are checked after every run.  A substep
-    # multiplies the mediant's trace 3m by less than the fixed end's trace, so
-    # a run is cut short of a trace past _TRACE_BITS bits; the rest follows.
+    # of |c| 2**-j, converted once, when the end moves.  The inner chord gives
+    # the upper bound a(R) N(L) + a(L) N(R).  Each side's outer secant, through
+    # the known boundary point O one step further out, gives the lower bound
+    # b N + a (N - N(O)), where b encloses (|c(O)| - |c|) 2**-j, the fixed
+    # end's a at the move.  A move changes only the moving side's secant, so
+    # only its bound is computed and folded into lo, which already holds the
+    # other side's, and the chord is recomputed.  N - N(O) is the exact trace
+    # ratio's ln(m / m(O)) plus h - h(O), with h = N - ln 3m, so that bound
+    # stays a few ulp wide along any run; a move to a trace in the table reads
+    # N and N - N(O) from _SMALL_STEPS.  N - N(O) is positive once the side has
+    # moved, but the right side's first secant, through O = (1, 2), has
+    # arccosh 3 - arccosh 7.5 < 0, which _dot_lo allows for.  Each run from
+    # _runs is one _recurrence_run, and the bounds are checked after every run.
+    # A substep multiplies the mediant's trace 3m by less than the fixed end's
+    # trace, so a run is cut short of a trace past _TRACE_BITS bits; the rest
+    # follows.
     j = max(qd.bit_length() - 8, 0)
-    n3, n6, n15 = _START
+    n3, n6, d6 = _START
     b0 = _iv_from_int_pow2(qd, -j)
-    ends = [(-pd, 1, n3, _iv_from_int_pow2(pd, -j)),
-            (qd - pd, 2, n6, _iv_from_int_pow2(qd - pd, -j))]
-    outs = [(b0, (0.0, 0.0)), (b0, iv_sub(n6, n15))]  # O = (1, -1) and (1, 2)
+    al, ar = _iv_from_int_pow2(pd, -j), _iv_from_int_pow2(qd - pd, -j)
+    ends = [(-pd, 1, n3, al), (qd - pd, 2, n6, ar)]
     m_med = 5
     # The norm is the scale g 2**(j - k) times the norm of the direction
     # (qd, pd) 2**-j.  The scale stays in the float range: g qd 2**-k <= |x|
@@ -263,14 +267,15 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     scale_lo, scale_hi = scale = _iv_from_int_pow2(g, j - k)
     scaled_tol = 0.9 * tol / scale_hi  # conservative, for the direction's enclosure
 
-    lo, hi = 0.0, math.inf  # the best enclosure so far
+    # the best enclosure so far; the first secants pass through O = (1, -1)
+    # and (1, 2)
+    lo = max(0.0, _dot_lo(b0, n3, al, (0.0, 0.0)), _dot_lo(b0, n6, ar, d6))
+    hi = math.inf
     runs = _runs(pd, qd)
     substeps = run = 0
 
     while True:
         (_, _, nl, al), (_, _, nr, ar) = ends
-        (bl, dl), (br, dr) = outs
-        lo = max(lo, _dot_lo(bl, nl, al, dl), _dot_lo(br, nr, ar, dr))
         hi = min(hi, _dot_hi(ar, nl, al, nr))
         if lo > hi:
             raise InternalInconsistencyError("sandwich enclosures disagree")
@@ -296,18 +301,27 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
             break
         m1, m_med = _recurrence_run(mf, ms, m_med, n)
         m0 = ms if n == 1 else 3 * mf * m1 - m_med  # O: the end before the last substep
-        # h0 = _norm_parts(3 * m0)[1], with no logarithm: a trace past the
-        # table has ln 3m0 >= 21, so its h is the constant tail.
-        h0 = _SMALL_TRACES.get(3 * m0, (None, _LOG_TAIL))[1]
-        n1, h1 = _norm_parts(3 * m1)
+        n1, d1 = _SMALL_STEPS.get((m1, m0)) or _step(m1, m0)
         c1 = cs + n * cf
-        ends[side] = (c1, m1, n1, _iv_from_int_pow2(abs(c1), -j))
-        outs[side] = (af, iv_add(iv_ln_ratio(m1, m0), iv_sub(h1, h0)))
+        a1 = _iv_from_int_pow2(abs(c1), -j)
+        ends[side] = (c1, m1, n1, a1)
+        lo = max(lo, _dot_lo(af, n1, a1, d1))
         substeps += n
         run -= n
 
-    counters = f"{substeps} substeps, {(3 * m_med).bit_length()}-bit trace"
-    return _finish(_scale((lo, hi), scale), tol, f"{reason}: {counters}")
+    return _finish(_scale((lo, hi), scale), tol, "%s: %d substeps, %d-bit trace",
+                   reason, substeps, (3 * m_med).bit_length())
+
+
+def _step(m1: int, m0: int):
+    """N(m1) and N(m1) - N(m0) for a bracket end that moves to m1, with m0 <
+    m1 the end before its last substep: N(m1) - N(m0) = ln(m1 / m0) + h1 - h0.
+
+    h0 = _norm_parts(3 * m0)[1], with no logarithm: a trace past the table has
+    ln 3m0 >= 21, so its h is the constant tail."""
+    n1, h1 = _norm_parts(3 * m1)
+    h0 = _SMALL_TRACES.get(3 * m0, (None, _LOG_TAIL))[1]
+    return n1, iv_add(iv_ln_ratio(m1, m0), iv_sub(h1, h0))
 
 
 def _norm_parts(t: int):
@@ -326,10 +340,18 @@ def _norm_parts(t: int):
 # (the dict is filled after it exists, since _norm_parts reads it).  Every
 # larger trace has ln 3m >= 21 and takes the closed-form tail of
 # iv_acosh_minus_log, so after import norm_real runs no exp, sqrt or log1p.
+# _SMALL_STEPS holds _step at each of the 166 pairs (m1, m0) of a node below
+# (1,1,2) with 3m1 < 2**31 and one of its two Farey parents: every move of
+# norm_real to a trace in the table, which makes no interval call.  _START
+# holds N at (1, 0) and (1, 1), and N(1, 1) - N(1, 2) for the right side's
+# first secant.
+_SMALL_M = ((1 << 31) - 1) // 3  # the largest m with 3m < 2**31
 _SMALL_TRACES = {}
-_SMALL_TRACES.update({3 * m: _norm_parts(3 * m)
-                      for _, _, m in _walk_values(((1 << 31) - 1) // 3)})
-_START = [_SMALL_TRACES[t][0] for t in (3, 6, 15)]  # N at (1, 0), (1, 1) and (1, 2)
+_SMALL_TRACES.update({3 * m: _norm_parts(3 * m) for _, _, m in _walk_values(_SMALL_M)})
+_SMALL_STEPS = {(m1, m0): _step(m1, m0)
+                for u, v, m1 in _walk_values(_SMALL_M) if m1 > 2 for m0 in (u, v)}
+_START = (_SMALL_TRACES[3][0], _SMALL_TRACES[6][0],
+          iv_sub(_SMALL_TRACES[6][0], _SMALL_TRACES[15][0]))
 
 
 def _ball_cone(max_q: int) -> list[tuple[int, int, float]]:

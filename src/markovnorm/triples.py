@@ -127,10 +127,11 @@ def _walk_values(bound: int):
         node = stack.pop()
         yield node
         u, v, w = node
-        left = 3 * u * w - v
+        t = 3 * w  # the trace of w, shared by both children
+        left = t * u - v
         if left <= bound:
             stack.append((u, w, left))
-        right = 3 * v * w - u
+        right = t * v - u
         if right <= bound:
             stack.append((w, v, right))
 

@@ -47,8 +47,9 @@ def brute_force_triples(bound: int) -> list[tuple[int, int, int]]:
     return sorted(set(found))
 
 
-def vieta_markov_numbers(bound: int) -> set[int]:
-    """Every Markov number <= bound, by Vieta jumps from (1, 1, 1).
+def vieta_markov_triples(bound: int) -> set[tuple[int, int, int]]:
+    """Every sorted Markov triple with largest entry <= bound, by Vieta jumps
+    from (1, 1, 1).
 
     Replacing z in a solution by the other root 3xy - z of the quadratic in
     z gives another solution.  Every solution is reached from (1, 1, 1) by
@@ -68,7 +69,12 @@ def vieta_markov_numbers(bound: int) -> set[int]:
             jumped = tuple(sorted(jumped))
             if jumped[2] <= bound:
                 stack.append(jumped)
-    return {v for triple in seen for v in triple}
+    return seen
+
+
+def vieta_markov_numbers(bound: int) -> set[int]:
+    """Every Markov number <= bound, the entries of vieta_markov_triples."""
+    return {v for triple in vieta_markov_triples(bound) for v in triple}
 
 
 def naive_triples(bound: int) -> list[tuple[int, int, int]]:

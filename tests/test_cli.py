@@ -342,6 +342,46 @@ def test_ball_max_q_limit(capsys, monkeypatch):
         assert "--max-q: 513 > 512" in err
 
 
+def test_verify_max_limit_is_checked_before_any_table(capsys, monkeypatch, tmp_path):
+    def table(max_bound):
+        raise AssertionError("a Markov table was built")
+
+    monkeypatch.setattr(cli, "markov_table", table)
+    monkeypatch.setattr(conjectures, "markov_table", table)
+    target = tmp_path / "verify.json"
+    for family in ("all", "sum"):
+        code, out, err = run(capsys, "verify", family, "--max", "1001",
+                             "--out", str(target))
+        assert code == 2 and out == ""
+        assert "--max: 1001 > 1000" in err
+        assert not target.exists()
+
+
+def test_verify_max_limit_admits_its_own_value(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_VERIFY_MAX", 30)
+    code, payload, _ = run_json(capsys, "verify", "all", "--max", "30")
+    assert code == 0 and payload["verified"] is True
+    code, out, err = run(capsys, "verify", "numerator", "--max", "31")
+    assert code == 2 and out == "" and "--max: 31 > 30" in err
+    # theorem1 takes no table, so --max does not apply to it
+    code, payload, _ = run_json(capsys, "verify", "theorem1", "--samples", "2",
+                                "--max", "31")
+    assert code == 0 and payload["verified"] is True
+
+
+def test_verify_max_limit_sits_above_every_size_in_use():
+    # perfbench's scan workload, the README's example and the tests' largest
+    # (the pinned verify-all-80) all run below the limit.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sizes = [int(v) for v in re.findall(r"verify \w+ --max (\d+)", readme)]
+    sizes += [workloads.SCAN_SIZES["verify_max"], 80]
+    assert len(sizes) >= 3 and max(sizes) <= cli._VERIFY_MAX
+
+
 def test_ball_max_q_below_one_names_the_flag(capsys, monkeypatch, tmp_path):
     def sample(max_q):
         raise AssertionError("the ball sample was built")
@@ -445,6 +485,19 @@ def test_integer_documents_are_byte_identical(capsys, name):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main builds its parser once; a parse, failed or not, leaves it as it was.
+    assert cli._build_parser() is cli._build_parser()
+    first = [run(capsys, *argv) for argv in (["slope", "3/5"], ["tree", "--depth", "4"])]
+    assert [code for code, _, _ in first] == [0, 0]
+    with pytest.raises(SystemExit) as info:
+        main(["tree"])  # --depth is required
+    assert info.value.code == 2
+    assert "--depth" in capsys.readouterr().err
+    again = [run(capsys, *argv) for argv in (["tree", "--depth", "4"], ["slope", "3/5"])]
+    assert [out for _, out, _ in again] == [out for _, out, _ in first[::-1]]
 
 
 def test_unknown_command_exits_via_argparse(capsys):

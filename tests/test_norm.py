@@ -35,9 +35,12 @@ from markovnorm.intervals import (
     iv_acosh_minus_log,
     iv_add,
     iv_ln_int,
+    iv_ln_ratio,
     iv_mul,
+    iv_sub,
 )
 from markovnorm.norm import (
+    _SMALL_STEPS,
     _SMALL_TRACES,
     _TRACE_BITS,
     _iv_from_int_pow2,
@@ -424,21 +427,60 @@ def test_small_trace_table_holds_the_computed_parts():
         assert n == iv_add(u, h) == iv_acosh_half_int(t)
 
 
-def seed1_norm_points(count):
-    """The first count stratum-1/2 points of the norm-real workload at seed 1."""
+def seed1_norm_points(count, strata=(1, 2)):
+    """The first count points of the norm-real workload at seed 1 in strata."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     points = ((x, y, tol) for x, y, tol, stratum, _ in workloads.norm_points(1)
-              if stratum in (1, 2))
+              if stratum in strata)
     return list(itertools.islice(points, count))
+
+
+def test_small_step_table_holds_the_computed_steps():
+    # Every move to a trace 3m1 < 2**31 comes from a node m1 and one of its
+    # Farey parents m0, the two smaller entries of its triple.
+    h_of = lambda m: iv_acosh_minus_log(iv_ln_int(3 * m))
+    triples = oracles.vieta_markov_triples((2**31 - 1) // 3)
+    assert set(_SMALL_STEPS) == {(c, m0) for a, b, c in triples if c > 2
+                                 for m0 in (a, b)}
+    assert len(_SMALL_STEPS) == 166
+    for (m1, m0), (n1, d1) in _SMALL_STEPS.items():
+        assert n1 == iv_acosh_half_int(3 * m1)
+        assert d1 == iv_add(iv_ln_ratio(m1, m0), iv_sub(h_of(m1), h_of(m0)))
+
+
+def _outcome(x, y, tol):
+    try:
+        return norm_real(x, y, tol)
+    except AccuracyLimitError as ex:
+        return str(ex), ex.interval
+
+
+def test_norm_real_is_the_same_without_the_step_table(monkeypatch):
+    # The table only saves work: every enclosure and every error, message
+    # and payload included, is bit for bit the one computed move by move.
+    points = seed1_norm_points(500, strata=(1, 2, 3, 4))
+    ratios = []
+    monkeypatch.setattr(markovnorm.norm, "iv_ln_ratio",
+                        lambda a, b: ratios.append(a) or iv_ln_ratio(a, b))
+    with_table = [_outcome(*point) for point in points]
+    served = len(ratios)
+    monkeypatch.setattr(markovnorm.norm, "_SMALL_STEPS", {})
+    without_table = [_outcome(*point) for point in points]
+    assert len(ratios) - served > 2 * served  # most moves come from the table
+    assert not all(isinstance(o, NormInterval) for o in with_table)  # stratum 3
+    assert [repr(o) for o in with_table] == [repr(o) for o in without_table]
 
 
 def test_norm_real_moves_take_h_of_their_own_traces(monkeypatch):
     # Each move of a bracket end sets the outer secant's N1 - N0 to
     # ln(m1 / m0) + (h1 - h0), with h = arccosh(3m/2) - ln 3m.  A wrong h
     # keeps every enclosure valid but loosens it, so only h itself shows it.
+    # With _SMALL_STEPS emptied every move computes its h, so small traces
+    # are spied on as well as large ones.
+    monkeypatch.setattr(markovnorm.norm, "_SMALL_STEPS", {})
     moves, pending = [], []
     real_ratio, real_sub = markovnorm.norm.iv_ln_ratio, markovnorm.norm.iv_sub
 
