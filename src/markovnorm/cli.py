@@ -2,11 +2,12 @@
 
 Every subcommand prints one machine-readable document (JSON, CSV, or SVG)
 to standard output or to --out FILE, through the one writer ``_output``.
-``tree`` writes its document level by level and ``ball`` sector by sector,
-so their memory follows one level or one sector, not the document; the
-others write theirs whole.  Big integers are rendered as decimal strings so
-no value ever passes through floating point on an output path.  Wall-clock
-time goes to stderr only, keeping the data byte-reproducible.
+``tree`` and ``frobenius`` write their long lists through ``_write_joined``,
+``_SLICE`` texts per write, and ``ball`` writes sector by sector, so none of
+the three holds its document whole; the others write theirs whole.  Big
+integers are rendered as decimal strings so no value ever passes through
+floating point on an output path.  Wall-clock time goes to stderr only,
+keeping the data byte-reproducible.
 
 Exit codes: 0 success / property verified, 1 mathematical violation or
 failed certification (AccuracyLimitError, its reason on stderr), 2 usage
@@ -62,6 +63,22 @@ def _output(out: str | None):
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_SLICE = 1024  # list entries per write
+
+
+def _slices(items: list):
+    """items in consecutive slices of _SLICE entries."""
+    return (items[i:i + _SLICE] for i in range(0, len(items), _SLICE))
+
+
+def _write_joined(write, slices, sep: str):
+    """sep.join of the texts of every slice in turn, one write per slice."""
+    lead = ""
+    for texts in slices:
+        write(lead + sep.join(texts))
+        lead = sep
 
 
 def cmd_slope(args) -> int:
@@ -208,10 +225,10 @@ def cmd_ball(args) -> int:
 
 
 # tree's document grows about 8x every two levels, since entries roughly
-# square along the fastest branch.  Measured in process on a 2-vCPU VM,
-# written level by level (time, peak memory, document):
-#   depth 12: 0.02 s,  23 MB, 2.7 MB     depth 15: 0.6 s, 142 MB,  58 MB
-#   depth 14: 0.21 s,  74 MB,  20 MB     depth 16: 2.8 s, 371 MB, 166 MB
+# square along the fastest branch.  Measured in a fresh process on a 2-vCPU
+# VM, written in slices (time, peak memory, document):
+#   depth 12: 0.04 s,  21 MB, 2.7 MB     depth 15: 0.8 s,  78 MB,  58 MB
+#   depth 14: 0.28 s,  42 MB,  20 MB     depth 16: 2.9 s, 177 MB, 166 MB
 _TREE_MAX_DEPTH = 15
 
 # One tree node as _json lays it out at its depth, cut at its four fields;
@@ -226,29 +243,35 @@ def cmd_tree(args) -> int:
         raise PreconditionViolatedError(f"--depth: {depth} < 0")
     if depth > _TREE_MAX_DEPTH:
         raise PreconditionViolatedError(f"--depth: {depth} > {_TREE_MAX_DEPTH}")
-    n0, n1, n2, n3, n4 = _TREE_NODE
-    nodes = enumerate_tree(depth)
-    # A child's sorted triple is one of its parent's two smaller entries, its
-    # parent's largest, then its new mediant.  So each node converts only its
-    # mediant to decimal, and takes the other two strings from its parent, at
-    # i >> 1 in the level above, matching the smaller entry by value.  Above
-    # (1,2,5) stands (1,1,2), its parent on the spine.
-    above, digits = [("", SPINE[1])], [("1", "1", "2")]
     with _output(args.out) as write:
         write('{\n  "depth": %d,\n  "nodes": [\n' % depth)
-        for d in range(depth + 1):
-            level = list(islice(nodes, 1 << d))
-            digits = [(small if t[0] == parent[0] else mid, large, str(t[2]))
-                      for (_, t), (_, parent), (small, mid, large)
-                      in zip(level, _twice(above), _twice(digits))]
-            if d:
-                write(",\n")
-            write(",\n".join([
-                f"{n0}{path}{n1}{a}{n2}{b}{n3}{c}{n4}"
-                for (path, _), (a, b, c) in zip(level, digits)]))
-            above = level
+        _write_joined(write, _tree_texts(depth), ",\n")
         write("\n  ]\n}\n")
     return 0
+
+
+def _tree_texts(depth):
+    """The node texts of enumerate_tree(depth), level by level, one list
+    per slice of a level.
+
+    A child's sorted triple is one of its parent's two smaller entries, its
+    parent's largest, then its new mediant.  So each node converts only its
+    mediant to decimal, and takes the other two strings from its parent, at
+    i >> 1 in the level above, matching the smaller entry by value.  Above
+    (1,2,5) stands (1,1,2), its parent on the spine.
+    """
+    n0, n1, n2, n3, n4 = _TREE_NODE
+    nodes = enumerate_tree(depth)
+    above, digits = [("", SPINE[1])], [("1", "1", "2")]
+    for d in range(depth + 1):
+        level = list(islice(nodes, 1 << d))
+        digits = [(small if t[0] == parent[0] else mid, large, str(t[2]))
+                  for (_, t), (_, parent), (small, mid, large)
+                  in zip(level, _twice(above), _twice(digits))]
+        for part, part_digits in zip(_slices(level), _slices(digits)):
+            yield [f"{n0}{path}{n1}{a}{n2}{b}{n3}{c}{n4}"
+                   for (path, _), (a, b, c) in zip(part, part_digits)]
+        above = level
 
 
 def _twice(items):
@@ -305,24 +328,45 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _digit_list(values) -> str:
+def _write_digits(write, values):
     """A list of decimal strings, as _json lays out the value of a top-level key."""
     if not values:
-        return "[]"
-    return '[\n    "%s"\n  ]' % '",\n    "'.join(map(str, values))
+        write("[]")
+        return
+    write('[\n    "')
+    _write_joined(write, (map(str, s) for s in _slices(values)), '",\n    "')
+    write('"\n  ]')
+
+
+# frobenius walks every Markov triple up to --bound, about 0.18 (ln bound)**2
+# of them, and sorts their values.  Measured in a fresh process for --list
+# on a 2-vCPU VM, written in slices (time, peak memory, triples):
+#   bound 10**150: 0.09 s, 18 MB,  21,697    bound 10**500: 3.1 s,  61 MB, 239,984
+#   bound 10**300: 0.56 s, 27 MB,  86,518    bound 10**600: 5.5 s,  91 MB, 345,484
+#   bound 10**400: 1.6 s,  40 MB, 153,665    bound 10**700: 9.4 s, 130 MB
+_FROBENIUS_MAX_EXP = 500  # --bound <= 10**_FROBENIUS_MAX_EXP
 
 
 def cmd_frobenius(args) -> int:
+    try:
+        bound = int(args.bound)
+    except ValueError:
+        raise PreconditionViolatedError(
+            f"--bound expects a decimal integer, got {args.bound!r}") from None
+    if bound < 1:
+        raise PreconditionViolatedError(f"--bound: {bound} < 1")
+    if bound > 10 ** _FROBENIUS_MAX_EXP:
+        raise PreconditionViolatedError(f"--bound: {bound} > 10**{_FROBENIUS_MAX_EXP}")
+    distinct, duplicates = _collect_by_value(bound)
     # Laid out by hand, as _json would lay it out: every field holds digits
     # only, so nothing needs escaping, and the keys are in sorted order.
-    bound = int(args.bound)
-    distinct, duplicates = _collect_by_value(bound)
-    parts = ['{\n  "bound": "%d",\n  "duplicates": ' % bound, _digit_list(duplicates)]
-    if args.list:
-        parts += [',\n  "markovNumbers": ', _digit_list(distinct)]
-    parts.append(',\n  "valueCount": %d\n}\n' % len(distinct))
     with _output(args.out) as write:
-        write("".join(parts))
+        write('{\n  "bound": "%d",\n  "duplicates": ' % bound)
+        _write_digits(write, duplicates)
+        if args.list:
+            write(',\n  "markovNumbers": ')
+            _write_digits(write, distinct)
+        write(',\n  "valueCount": %d\n}\n' % len(distinct))
     return 0 if not duplicates else 1
 
 

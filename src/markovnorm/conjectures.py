@@ -21,7 +21,8 @@ from math import gcd, isfinite
 from operator import attrgetter, eq
 from typing import NamedTuple
 
-from .errors import AccuracyLimitError, PreconditionViolatedError
+from .errors import (AccuracyLimitError, InternalInconsistencyError,
+                     PreconditionViolatedError)
 from .indexing import Slope, markov_of_slope, markov_table
 from .norm import NormInterval, norm_real
 from .triples import _walk_values
@@ -235,7 +236,9 @@ def _collect_by_value(value_bound: int) -> tuple[list[int], list[int]]:
              f"value_bound must be an integer >= 1, got {value_bound!r}")
     found = []
     for ml, mr, mm in _walk_values(value_bound):
-        assert ml * ml + mr * mr == mm * (3 * ml * mr - mm)  # Markov's equation
+        if ml * ml + mr * mr != mm * (3 * ml * mr - mm):  # Markov's equation
+            raise InternalInconsistencyError(
+                f"the walk yielded {(ml, mr, mm)!r}, not a Markov triple")
         found.append(mm)
     found.sort()
     if not any(map(eq, found, itertools.islice(found, 1, None))):

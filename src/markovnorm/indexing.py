@@ -96,7 +96,12 @@ def _runs(p: int, q: int):
             yield 0, k
 
 
-@lru_cache(maxsize=None)
+# The descent keeps its 1,024 most recent slopes, so a long-lived process
+# holds a bounded number of Markov numbers.  A pass of perfbench's slopes
+# workload looks up 1,000 slopes and one of norm-real about 350 (636 and 347
+# of them distinct on seed 1), so neither evicts within a pass, and their
+# hits and misses are those of an unbounded cache.
+@lru_cache(maxsize=1024)
 def markov_of_slope(p: int, q: int) -> int:
     """Markov number of p/q by mediant descent with the endpoint-value triple.
 

@@ -99,7 +99,9 @@ def reduction_chain(t) -> list[OrderedTriple]:
     o = as_ordered(t)
     chain = [o]
     while o != ROOT:
-        assert 3 * o.small * o.mid < 2 * o.max, o
+        if 3 * o.small * o.mid >= 2 * o.max:
+            raise InternalInconsistencyError(
+                f"flipping the max of {tuple(o)!r} would not decrease it")
         o = _flip_max(o)
         chain.append(o)
     return chain

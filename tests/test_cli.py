@@ -5,6 +5,7 @@ back and compared against the library. A single subprocess test checks
 the installed entry point wiring.
 """
 
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -140,14 +141,17 @@ def test_tree(capsys):
     assert nodes[-1]["triple"] == ["2", "29", "169"]
 
 
-@pytest.mark.parametrize("depth", range(10))
-def test_tree_document_is_the_json_dump(capsys, depth):
-    payload = {"depth": depth, "nodes": [
+def _tree_payload(depth):
+    return {"depth": depth, "nodes": [
         {"path": path, "triple": [str(v) for v in sorted(t)]}
         for path, t in enumerate_tree(depth)]}
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_tree_document_is_the_json_dump(capsys, depth):
     code, out, _ = run(capsys, "tree", "--depth", str(depth))
     assert code == 0
-    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(_tree_payload(depth), indent=2, sort_keys=True) + "\n"
 
 
 def test_norm_exact_and_float_agree(capsys):
@@ -272,6 +276,55 @@ def test_frobenius_document_with_a_duplicate_is_the_json_dump(
     assert out == cli._json(_frobenius_payload(1000, listed))
 
 
+@pytest.mark.parametrize("slice_size", [1, 2, 3, 7])
+def test_documents_written_in_slices_are_the_whole_documents(
+        capsys, monkeypatch, slice_size):
+    # Slices split tree levels and the value list; the bytes do not change.
+    monkeypatch.setattr(cli, "_SLICE", slice_size)
+    for bound in (1, 5, 1000, 10**40):
+        for listed in (False, True):
+            argv = ["frobenius", "--bound", str(bound)] + ["--list"] * listed
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == cli._json(_frobenius_payload(bound, listed)), argv
+    for depth in range(10):
+        code, out, _ = run(capsys, "tree", "--depth", str(depth))
+        assert code == 0
+        assert out == cli._json(_tree_payload(depth)), depth
+
+
+@pytest.mark.parametrize("slice_size", [1, 2, 3, 7])
+def test_frobenius_duplicate_document_in_slices_is_the_json_dump(
+        capsys, monkeypatch, walk_repeats_29, slice_size):
+    monkeypatch.setattr(cli, "_SLICE", slice_size)
+    for listed in (False, True):
+        code, out, _ = run(capsys, "frobenius", "--bound", "1000", *["--list"] * listed)
+        assert code == 1
+        assert out == cli._json(_frobenius_payload(1000, listed))
+
+
+def test_no_write_takes_more_than_one_slice(monkeypatch):
+    # Each list entry of a frobenius document starts a line with '    "',
+    # and each tree node holds one "path".
+    writes = []
+
+    @contextlib.contextmanager
+    def spy(out):
+        yield writes.append
+
+    monkeypatch.setattr(cli, "_output", spy)
+    monkeypatch.setattr(cli, "_SLICE", 3)
+    for argv, mark, total in (
+        (["frobenius", "--bound", str(10**40), "--list"], '\n    "',
+         len(markov_numbers_up_to(10**40))),
+        (["tree", "--depth", "6"], '"path"', 2**7 - 1),
+    ):
+        writes.clear()
+        assert main(argv) == 0
+        counts = [w.count(mark) for w in writes]
+        assert sum(counts) == total and max(counts) == 3, argv
+
+
 def test_ball_csv(capsys):
     code, out, _ = run(capsys, "ball", "--max-q", "1")
     assert code == 0
@@ -372,14 +425,56 @@ def test_verify_max_limit_admits_its_own_value(capsys, monkeypatch):
 def test_verify_max_limit_sits_above_every_size_in_use():
     # perfbench's scan workload, the README's example and the tests' largest
     # (the pinned verify-all-80) all run below the limit.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sizes = [int(v) for v in re.findall(r"verify \w+ --max (\d+)", readme)]
+    sizes += [_scan_sizes()["verify_max"], 80]
+    assert len(sizes) >= 3 and max(sizes) <= cli._VERIFY_MAX
+
+
+def _scan_sizes():
+    """perfbench's SCAN_SIZES, read from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads.SCAN_SIZES
+
+
+def test_frobenius_bound_rules_write_nothing(capsys, monkeypatch, tmp_path):
+    def walk(bound):
+        raise AssertionError("the value walk was started")
+
+    monkeypatch.setattr(cli, "_collect_by_value", walk)
+    limit = cli._FROBENIUS_MAX_EXP
+    target = tmp_path / "frobenius.json"
+    for bound, message in (
+        ("0", "--bound: 0 < 1"),
+        ("-3", "--bound: -3 < 1"),
+        ("abc", "--bound expects a decimal integer, got 'abc'"),
+        (str(10**limit + 1), f"--bound: {10**limit + 1} > 10**{limit}"),
+    ):
+        for out_flag in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, "frobenius", "--bound", bound, "--list",
+                                 *out_flag)
+            assert code == 2 and out == "" and message in err, bound
+            assert not target.exists()
+
+
+def test_frobenius_bound_limit_admits_its_own_value(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_FROBENIUS_MAX_EXP", 3)
+    code, payload, _ = run_json(capsys, "frobenius", "--bound", "1000")
+    assert code == 0 and payload["valueCount"] == 13
+    code, out, err = run(capsys, "frobenius", "--bound", "1001")
+    assert code == 2 and out == "" and "--bound: 1001 > 10**3" in err
+
+
+def test_frobenius_bound_limit_sits_above_every_size_in_use():
+    # perfbench's scan workload, the README's example and the tests' largest
+    # (the pinned frobenius-1e40) all run below the limit.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sizes = [int(v) for v in re.findall(r"verify \w+ --max (\d+)", readme)]
-    sizes += [workloads.SCAN_SIZES["verify_max"], 80]
-    assert len(sizes) >= 3 and max(sizes) <= cli._VERIFY_MAX
+    sizes = [int(v) for v in re.findall(r"frobenius --bound (\d+)\s", readme)]
+    sizes += [10 ** _scan_sizes()["frobenius_bound_digits"], 10**40]
+    assert len(sizes) >= 3 and max(sizes) <= 10 ** cli._FROBENIUS_MAX_EXP
 
 
 def test_ball_max_q_below_one_names_the_flag(capsys, monkeypatch, tmp_path):
@@ -454,11 +549,7 @@ def test_tree_depth_rules_write_nothing(capsys, monkeypatch, tmp_path, too_deep)
 def test_tree_depth_limit_sits_above_the_scan_workload():
     # perfbench's scan workload runs the deepest tree in use; the tests run
     # at most depth 9 and the README 4.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    assert 9 <= workloads.SCAN_SIZES["tree_depth"] <= cli._TREE_MAX_DEPTH
+    assert 9 <= _scan_sizes()["tree_depth"] <= cli._TREE_MAX_DEPTH
 
 
 def test_output_is_deterministic(capsys):

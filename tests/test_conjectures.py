@@ -2,6 +2,10 @@
 duplicate-value scan."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from markovnorm import (
     FAMILIES,
     AccuracyLimitError,
     CheckResult,
+    InternalInconsistencyError,
     PreconditionViolatedError,
     Slope,
     VerificationReport,
@@ -275,3 +280,32 @@ def test_frobenius_scan_reports_a_value_the_walk_yields_twice(walk_repeats_29):
     assert frobenius_scan(1000) == [29]
     assert markov_numbers_up_to(1000) == [
         1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610, 985]
+
+
+def _walk_yielding_1_2_6(bound):
+    yield (1, 2, 6)  # 1 + 4 != 6 * (3 * 2 - 6)
+
+
+def test_collect_by_value_checks_each_node_against_markovs_equation(monkeypatch):
+    monkeypatch.setattr(conjectures, "_walk_values", _walk_yielding_1_2_6)
+    with pytest.raises(InternalInconsistencyError, match=r"\(1, 2, 6\)"):
+        markov_numbers_up_to(10)
+
+
+def test_markovs_equation_check_survives_python_O():
+    # python -O strips assert statements; the check must not be one.
+    script = (
+        "import markovnorm.conjectures as c\n"
+        "from markovnorm.errors import InternalInconsistencyError\n"
+        "c._walk_values = lambda bound: iter([(1, 2, 6)])\n"
+        "try:\n"
+        "    c.markov_numbers_up_to(10)\n"
+        "except InternalInconsistencyError as ex:\n"
+        "    print('raised', __debug__, ex)\n")
+    src = str(Path(conjectures.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised False") and "(1, 2, 6)" in proc.stdout

@@ -99,6 +99,13 @@ def test_reduction_chain_examples():
     assert reduction_chain((2, 5, 29)) == [(2, 5, 29), (1, 2, 5), (1, 1, 2), (1, 1, 1)]
 
 
+def test_reduction_chain_checks_that_the_max_decreases(monkeypatch):
+    # A flip that returned (1, 5, 5) would not descend: 3 * 1 * 5 >= 2 * 5.
+    monkeypatch.setattr(triples, "_flip_max", lambda o: OrderedTriple(1, 5, 5))
+    with pytest.raises(InternalInconsistencyError, match=r"\(1, 5, 5\)"):
+        reduction_chain((1, 2, 5))
+
+
 def test_reduce_to_root_examples():
     assert reduce_to_root((1, 1, 1)) == ""
     assert reduce_to_root((1, 1, 2)) == "L"
