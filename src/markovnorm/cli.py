@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Every subcommand prints one machine-readable document (JSON, CSV, or SVG)
-to standard output or to --out FILE, through the one writer ``_output``.
-``tree`` and ``frobenius`` write their long lists through ``_write_joined``,
-``_SLICE`` texts per write, and ``ball`` writes sector by sector, so none of
-the three holds its document whole; the others write theirs whole.  Big
-integers are rendered as decimal strings so no value ever passes through
-floating point on an output path.  Wall-clock time goes to stderr only,
-keeping the data byte-reproducible.
+Each subcommand checks its usage, does the work its exit code depends on,
+and returns that code with its document (JSON, CSV, or SVG) as texts in
+order.  ``main`` alone writes them, to stdout or --out FILE, which it opens
+only once the subcommand has returned, so a usage error writes nothing.
+``tree``, ``frobenius --list`` and ``ball`` return generators, the lists in
+``_SLICE`` entries per text and ``ball`` sector by sector, so no document
+is held whole.  ``_json`` alone lays out JSON; a streamed list is cut from
+``_json`` of a skeleton (``_json_cut``).  Big integers are decimal strings,
+so no value passes through floating point on an output path.  Wall-clock
+time goes to stderr only, keeping the data byte-reproducible.
 
 Exit codes: 0 success / property verified, 1 mathematical violation or
 failed certification (AccuracyLimitError, its reason on stderr), 2 usage
@@ -17,17 +19,16 @@ error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 from itertools import chain, islice
 
 from .conjectures import (
     FAMILIES,
-    _check_max_bound,
     _collect_by_value,
     verify_family,
     verify_theorem1_random,
@@ -48,24 +49,27 @@ from .norm import (_EXACT_MAX_Q, _ball_cone, _ball_orbit, _reduced, norm_real,
 from .triples import SPINE, enumerate_tree
 
 
-@contextlib.contextmanager
-def _output(out: str | None):
-    """The write method of stdout, or of FILE for --out FILE.
-
-    Each subcommand opens it only after its usage checks, so an invalid
-    call writes nothing and creates no file."""
-    if out is None:
-        yield sys.stdout.write
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            yield fh.write
+Document = Iterable[str]  # a document's texts, in order
 
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-_SLICE = 1024  # list entries per write
+_MARK = "\0"  # json.dumps writes it as \u0000, which no document holds
+
+
+def _json_cut(payload: dict, key: str, element):
+    """_json(payload) with, at key, a nonempty list of elements laid out as
+    element is, cut at element's _MARK strings: (head, inner, sep, tail),
+    where sep runs from one element's last mark to the next one's first and
+    inner are the pieces between one element's marks."""
+    pieces = _json({**payload, key: [element, element]}).split(r"\u0000")
+    k = len(pieces) // 2  # marks per element
+    return pieces[0], pieces[1:k], pieces[k], pieces[-1]
+
+
+_SLICE = 1024  # list entries per text
 
 
 def _slices(items: list):
@@ -73,16 +77,25 @@ def _slices(items: list):
     return (items[i:i + _SLICE] for i in range(0, len(items), _SLICE))
 
 
-def _write_joined(write, slices, sep: str):
-    """sep.join of the texts of every slice in turn, one write per slice."""
+def _joined(head: str, slices, sep: str, tail: str) -> Document:
+    """head, sep.join of the texts of every slice in turn, one text per
+    slice, then tail."""
+    yield head
     lead = ""
     for texts in slices:
-        write(lead + sep.join(texts))
+        yield lead + sep.join(texts)
         lead = sep
+    yield tail
 
 
-def cmd_slope(args) -> int:
+# slope's cost is m(p/q), about 1.4 q bits, and its decimal text; it takes
+# norm --exact's limit on q.  In a fresh process on a 2-vCPU VM, slope
+# 1/262144 takes 0.5-0.6 s and 262143/262144 1.6 s, both at 19 MB.
+def cmd_slope(args) -> tuple[int, Document]:
     slope = parse_slope(args.fraction)
+    if slope.q > _EXACT_MAX_Q:
+        raise PreconditionViolatedError(
+            f"fraction: denominator {slope.q} > {_EXACT_MAX_Q}")
     path = "" if slope.q == 1 else stern_brocot_path(slope.p, slope.q)
     trace = mat_trace(christoffel_matrix(slope.p, slope.q))
     text = _json({
@@ -94,9 +107,7 @@ def cmd_slope(args) -> int:
         "trace": str(trace),
         "stableNorm": stable_norm((slope.q, slope.p)),
     })
-    with _output(args.out) as write:
-        write(text)
-    return 0
+    return 0, [text]
 
 
 # verify's integer families cost one markov_table(--max): about 0.3 max**2
@@ -108,14 +119,16 @@ def cmd_slope(args) -> int:
 _VERIFY_MAX = 1000
 
 
-def cmd_verify(args) -> int:
-    if args.family != "theorem1" and args.max > _VERIFY_MAX:  # before any table
-        raise PreconditionViolatedError(f"--max: {args.max} > {_VERIFY_MAX}")
+def cmd_verify(args) -> tuple[int, Document]:
+    if args.family != "theorem1":  # before any table
+        if args.max < 2:
+            raise PreconditionViolatedError(f"--max: {args.max} < 2")
+        if args.max > _VERIFY_MAX:
+            raise PreconditionViolatedError(f"--max: {args.max} > {_VERIFY_MAX}")
     if args.family == "theorem1":
         reports = [verify_theorem1_random(args.samples, tol=args.tol,
                                           seed=args.seed)]
     elif args.family == "all":
-        _check_max_bound(args.max)  # before the one table is built
         table = markov_table(args.max)
         reports = [verify_family(f, args.max, table) for f in FAMILIES]
     else:
@@ -130,9 +143,7 @@ def cmd_verify(args) -> int:
         } for r in reports],
         "verified": all(r.verified for r in reports),
     })
-    with _output(args.out) as write:
-        write(text)
-    return 0 if all(r.verified for r in reports) else 1
+    return 0 if all(r.verified for r in reports) else 1, [text]
 
 
 # ball's cost grows with the max_q**2 * 3 / pi**2 cone points, each drawn in
@@ -178,20 +189,20 @@ def _witness_lines(witness) -> str:
                    for x1, y1, x2, y2 in lines)
 
 
-def _write_svg_ball(write, cone, overlay: str):
-    write('<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">\n'
-          '<g transform="scale(1,-1)">\n'
-          '<polyline fill="none" stroke="black" stroke-width="0.006" points="')
+def _svg_ball(cone, overlay: str) -> Document:
+    yield ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">\n'
+           '<g transform="scale(1,-1)">\n'
+           '<polyline fill="none" stroke="black" stroke-width="0.006" points="')
     sectors = _ball_sectors(cone, "%.10f".__mod__)
     points = next(sectors)
     start = points[0]  # the polyline closes on its first point
-    write(" ".join(points))
+    yield " ".join(points)
     for points in sectors:
-        write(" " + " ".join(points))
-    write(f' {start}"/>\n{overlay}</g>\n</svg>\n')
+        yield " " + " ".join(points)
+    yield f' {start}"/>\n{overlay}</g>\n</svg>\n'
 
 
-def cmd_ball(args) -> int:
+def cmd_ball(args) -> tuple[int, Document]:
     # usage errors before the sample is built
     if args.max_q < 1:
         raise PreconditionViolatedError(f"--max-q: {args.max_q} < 1")
@@ -214,14 +225,8 @@ def cmd_ball(args) -> int:
         witness = (wq, wp)
     cone = _ball_cone(args.max_q)
     if args.format == "csv":
-        with _output(args.out) as write:
-            for points in _ball_sectors(cone, repr):
-                write("\n".join(points) + "\n")
-    else:
-        overlay = _witness_lines(witness)
-        with _output(args.out) as write:
-            _write_svg_ball(write, cone, overlay)
-    return 0
+        return 0, ("\n".join(points) + "\n" for points in _ball_sectors(cone, repr))
+    return 0, _svg_ball(cone, _witness_lines(witness))
 
 
 # tree's document grows about 8x every two levels, since entries roughly
@@ -231,28 +236,22 @@ def cmd_ball(args) -> int:
 #   depth 14: 0.28 s,  42 MB,  20 MB     depth 16: 2.9 s, 177 MB, 166 MB
 _TREE_MAX_DEPTH = 15
 
-# One tree node as _json lays it out at its depth, cut at its four fields;
-# paths are L/R only and entries decimal digits, so no field needs escaping.
-_TREE_NODE = "\n".join("    " + line for line in _json(
-    {"path": "@", "triple": ["@"] * 3}).splitlines()).split("@")
 
-
-def cmd_tree(args) -> int:
+def cmd_tree(args) -> tuple[int, Document]:
     depth = args.depth
     if depth < 0:
         raise PreconditionViolatedError(f"--depth: {depth} < 0")
     if depth > _TREE_MAX_DEPTH:
         raise PreconditionViolatedError(f"--depth: {depth} > {_TREE_MAX_DEPTH}")
-    with _output(args.out) as write:
-        write('{\n  "depth": %d,\n  "nodes": [\n' % depth)
-        _write_joined(write, _tree_texts(depth), ",\n")
-        write("\n  ]\n}\n")
-    return 0
+    head, inner, sep, tail = _json_cut(
+        {"depth": depth}, "nodes", {"path": _MARK, "triple": [_MARK] * 3})
+    return 0, _joined(head, _tree_texts(depth, inner), sep, tail)
 
 
-def _tree_texts(depth):
+def _tree_texts(depth, inner):
     """The node texts of enumerate_tree(depth), level by level, one list
-    per slice of a level.
+    per slice of a level, with inner the _json_cut pieces between a node's
+    path and its three entries (L/R and digits, which need no escaping).
 
     A child's sorted triple is one of its parent's two smaller entries, its
     parent's largest, then its new mediant.  So each node converts only its
@@ -260,7 +259,7 @@ def _tree_texts(depth):
     i >> 1 in the level above, matching the smaller entry by value.  Above
     (1,2,5) stands (1,1,2), its parent on the spine.
     """
-    n0, n1, n2, n3, n4 = _TREE_NODE
+    n1, n2, n3 = inner
     nodes = enumerate_tree(depth)
     above, digits = [("", SPINE[1])], [("1", "1", "2")]
     for d in range(depth + 1):
@@ -269,7 +268,7 @@ def _tree_texts(depth):
                   for (_, t), (_, parent), (small, mid, large)
                   in zip(level, _twice(above), _twice(digits))]
         for part, part_digits in zip(_slices(level), _slices(digits)):
-            yield [f"{n0}{path}{n1}{a}{n2}{b}{n3}{c}{n4}"
+            yield [f"{path}{n1}{a}{n2}{b}{n3}{c}"
                    for (path, _), (a, b, c) in zip(part, part_digits)]
         above = level
 
@@ -279,7 +278,13 @@ def _twice(items):
     return chain.from_iterable(zip(items, items))
 
 
-def cmd_norm(args) -> int:
+def _raising(text: str, ex: Exception) -> Document:
+    """text, then ex raised once it is written, for main to report."""
+    yield text
+    raise ex
+
+
+def cmd_norm(args) -> tuple[int, Document]:
     if not math.isfinite(args.tol):  # the payload echoes it, and JSON has no inf
         raise PreconditionViolatedError(f"--tol must be finite, got {args.tol!r}")
     try:
@@ -300,17 +305,32 @@ def cmd_norm(args) -> int:
         if ex.interval is not None:
             payload.update(lo=ex.interval.lo, hi=ex.interval.hi,
                            width=ex.interval.width)
-        with _output(args.out) as write:
-            write(_json(payload))
-        raise  # main reports the reason and exits 1
+        return 1, _raising(_json(payload), ex)  # main reports the reason
     payload.update(lo=enc.lo, hi=enc.hi, width=enc.width)
-    with _output(args.out) as write:
-        write(_json(payload))
-    return 0
+    return 0, [_json(payload)]
 
 
-def cmd_count(args) -> int:
-    points = fit_constant(args.bounds)
+# frobenius walks every Markov triple up to --bound, about 0.18 (ln bound)**2
+# of them, and sorts their values.  Measured in a fresh process for --list
+# on a 2-vCPU VM, written in slices (time, peak memory, triples):
+#   bound 10**150: 0.09 s, 18 MB,  21,697    bound 10**500: 3.1 s,  61 MB, 239,984
+#   bound 10**300: 0.56 s, 27 MB,  86,518    bound 10**600: 5.5 s,  91 MB, 345,484
+#   bound 10**400: 1.6 s,  40 MB, 153,665    bound 10**700: 9.4 s, 130 MB
+# count makes the same walk without the list and the sort: count 10**500
+# takes 0.85-1.1 s at 15 MB.
+_VALUE_MAX_EXP = 500  # frobenius --bound and count's bounds <= 10**_VALUE_MAX_EXP
+
+
+def cmd_count(args) -> tuple[int, Document]:
+    bounds = args.bounds  # checked before the walk
+    if bounds[0] < 2:
+        raise PreconditionViolatedError(f"bounds: {bounds[0]} < 2")
+    for a, b in zip(bounds, bounds[1:]):
+        if b <= a:
+            raise PreconditionViolatedError(f"bounds must increase, got {b} after {a}")
+    if bounds[-1] > 10 ** _VALUE_MAX_EXP:
+        raise PreconditionViolatedError(f"bounds: {bounds[-1]} > 10**{_VALUE_MAX_EXP}")
+    points = fit_constant(bounds)
     records = []
     for pt in points:
         rec = {"bound": str(pt.bound), "count": pt.count,
@@ -321,33 +341,11 @@ def cmd_count(args) -> int:
             rec["lattice"] = pt.count
             rec["offset"] = 0
         records.append(rec)
-    text = _json({"points": records,
-                  "note": "cEstimate = count / (ln bound)^2, natural log"})
-    with _output(args.out) as write:
-        write(text)
-    return 0
+    return 0, [_json({"points": records,
+                      "note": "cEstimate = count / (ln bound)^2, natural log"})]
 
 
-def _write_digits(write, values):
-    """A list of decimal strings, as _json lays out the value of a top-level key."""
-    if not values:
-        write("[]")
-        return
-    write('[\n    "')
-    _write_joined(write, (map(str, s) for s in _slices(values)), '",\n    "')
-    write('"\n  ]')
-
-
-# frobenius walks every Markov triple up to --bound, about 0.18 (ln bound)**2
-# of them, and sorts their values.  Measured in a fresh process for --list
-# on a 2-vCPU VM, written in slices (time, peak memory, triples):
-#   bound 10**150: 0.09 s, 18 MB,  21,697    bound 10**500: 3.1 s,  61 MB, 239,984
-#   bound 10**300: 0.56 s, 27 MB,  86,518    bound 10**600: 5.5 s,  91 MB, 345,484
-#   bound 10**400: 1.6 s,  40 MB, 153,665    bound 10**700: 9.4 s, 130 MB
-_FROBENIUS_MAX_EXP = 500  # --bound <= 10**_FROBENIUS_MAX_EXP
-
-
-def cmd_frobenius(args) -> int:
+def cmd_frobenius(args) -> tuple[int, Document]:
     try:
         bound = int(args.bound)
     except ValueError:
@@ -355,19 +353,17 @@ def cmd_frobenius(args) -> int:
             f"--bound expects a decimal integer, got {args.bound!r}") from None
     if bound < 1:
         raise PreconditionViolatedError(f"--bound: {bound} < 1")
-    if bound > 10 ** _FROBENIUS_MAX_EXP:
-        raise PreconditionViolatedError(f"--bound: {bound} > 10**{_FROBENIUS_MAX_EXP}")
+    if bound > 10 ** _VALUE_MAX_EXP:
+        raise PreconditionViolatedError(f"--bound: {bound} > 10**{_VALUE_MAX_EXP}")
     distinct, duplicates = _collect_by_value(bound)
-    # Laid out by hand, as _json would lay it out: every field holds digits
-    # only, so nothing needs escaping, and the keys are in sorted order.
-    with _output(args.out) as write:
-        write('{\n  "bound": "%d",\n  "duplicates": ' % bound)
-        _write_digits(write, duplicates)
-        if args.list:
-            write(',\n  "markovNumbers": ')
-            _write_digits(write, distinct)
-        write(',\n  "valueCount": %d\n}\n' % len(distinct))
-    return 0 if not duplicates else 1
+    code = 0 if not duplicates else 1
+    payload = {"bound": str(bound), "duplicates": list(map(str, duplicates)),
+               "valueCount": len(distinct)}
+    if not args.list:
+        return code, [_json(payload)]
+    # distinct holds 1 at least, and its entries are digits only
+    head, _, sep, tail = _json_cut(payload, "markovNumbers", _MARK)
+    return code, _joined(head, (map(str, s) for s in _slices(distinct)), sep, tail)
 
 
 @functools.cache  # built once per process: main parses many argvs with it
@@ -437,7 +433,12 @@ def main(argv=None) -> int:
     if max_digits:
         sys.set_int_max_str_digits(0)
     try:
-        code = args.fn(args)
+        code, texts = args.fn(args)
+        if args.out is None:
+            sys.stdout.writelines(texts)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(texts)
     except ValueError as ex:  # every package error for bad input is one
         print(f"markovnorm: error: {ex}", file=sys.stderr)
         return 2

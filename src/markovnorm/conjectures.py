@@ -83,11 +83,6 @@ def check_fixed_sum(p: int, q: int, i: int) -> bool:
     return _check_step("sum", p, q, i)
 
 
-def _check_max_bound(max_bound):
-    _require(isinstance(max_bound, int) and max_bound >= 2,
-             f"max_bound must be an integer >= 2, got {max_bound!r}")
-
-
 def verify_family(family: str, max_bound: int,
                   table: dict[Slope, int] | None = None) -> VerificationReport:
     """Exhaustively decide every admissible (p, q, i) within the bound.
@@ -104,7 +99,8 @@ def verify_family(family: str, max_bound: int,
     ``markov_table(max_bound)`` as ``table``; by default it is built here.
     """
     _require(family in FAMILIES, f"unknown family {family!r}")
-    _check_max_bound(max_bound)
+    _require(isinstance(max_bound, int) and max_bound >= 2,
+             f"max_bound must be an integer >= 2, got {max_bound!r}")
     t0 = time.perf_counter()
     if table is None:
         table = markov_table(max_bound)

@@ -5,7 +5,6 @@ back and compared against the library. A single subprocess test checks
 the installed entry point wiring.
 """
 
-import contextlib
 import hashlib
 import importlib.util
 import json
@@ -127,7 +126,7 @@ def test_verify_theorem1_fails_when_a_sample_is_not_certified(capsys, monkeypatc
 
 def test_verify_rejects_tiny_bound(capsys):
     code, out, err = run(capsys, "verify", "numerator", "--max", "1")
-    assert code == 2 and err
+    assert code == 2 and "--max: 1 < 2" in err
 
 
 def test_tree(capsys):
@@ -303,16 +302,27 @@ def test_frobenius_duplicate_document_in_slices_is_the_json_dump(
         assert out == cli._json(_frobenius_payload(1000, listed))
 
 
+class _Recorder:
+    """A sys.stdout stand-in that records each text it is given."""
+
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+        return len(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
 def test_no_write_takes_more_than_one_slice(monkeypatch):
     # Each list entry of a frobenius document starts a line with '    "',
     # and each tree node holds one "path".
-    writes = []
-
-    @contextlib.contextmanager
-    def spy(out):
-        yield writes.append
-
-    monkeypatch.setattr(cli, "_output", spy)
+    recorder = _Recorder()
+    writes = recorder.texts
+    monkeypatch.setattr(sys, "stdout", recorder)
     monkeypatch.setattr(cli, "_SLICE", 3)
     for argv, mark, total in (
         (["frobenius", "--bound", str(10**40), "--list"], '\n    "',
@@ -445,7 +455,7 @@ def test_frobenius_bound_rules_write_nothing(capsys, monkeypatch, tmp_path):
         raise AssertionError("the value walk was started")
 
     monkeypatch.setattr(cli, "_collect_by_value", walk)
-    limit = cli._FROBENIUS_MAX_EXP
+    limit = cli._VALUE_MAX_EXP
     target = tmp_path / "frobenius.json"
     for bound, message in (
         ("0", "--bound: 0 < 1"),
@@ -461,7 +471,7 @@ def test_frobenius_bound_rules_write_nothing(capsys, monkeypatch, tmp_path):
 
 
 def test_frobenius_bound_limit_admits_its_own_value(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_FROBENIUS_MAX_EXP", 3)
+    monkeypatch.setattr(cli, "_VALUE_MAX_EXP", 3)
     code, payload, _ = run_json(capsys, "frobenius", "--bound", "1000")
     assert code == 0 and payload["valueCount"] == 13
     code, out, err = run(capsys, "frobenius", "--bound", "1001")
@@ -474,7 +484,7 @@ def test_frobenius_bound_limit_sits_above_every_size_in_use():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sizes = [int(v) for v in re.findall(r"frobenius --bound (\d+)\s", readme)]
     sizes += [10 ** _scan_sizes()["frobenius_bound_digits"], 10**40]
-    assert len(sizes) >= 3 and max(sizes) <= 10 ** cli._FROBENIUS_MAX_EXP
+    assert len(sizes) >= 3 and max(sizes) <= 10 ** cli._VALUE_MAX_EXP
 
 
 def test_ball_max_q_below_one_names_the_flag(capsys, monkeypatch, tmp_path):
@@ -507,6 +517,66 @@ def test_ball_witness_denominator_limit(capsys, monkeypatch):
     code, out, _ = run(
         capsys, "ball", "--max-q", "2", "--format", "svg", "--witness", "524288,2")
     assert code == 0 and out.count("<line") == 3
+
+
+def test_slope_denominator_limit_admits_its_own_value(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a Markov number was computed")
+
+    monkeypatch.setattr(cli, "_EXACT_MAX_Q", 5)
+    code, payload, _ = run_json(capsys, "slope", "2/5")
+    assert code == 0 and payload["q"] == 5
+    monkeypatch.setattr(cli, "markov_of_slope", forbidden)
+    code, out, err = run(capsys, "slope", "1/6")
+    assert code == 2 and out == "" and "fraction: denominator 6 > 5" in err
+
+
+def test_count_bound_limit_admits_its_own_value(capsys, monkeypatch):
+    def forbidden(schedule):
+        raise AssertionError("the value walk was started")
+
+    monkeypatch.setattr(cli, "_VALUE_MAX_EXP", 3)
+    code, payload, _ = run_json(capsys, "count", "2", "1000")
+    assert code == 0 and [pt["count"] for pt in payload["points"]] == [2, 13]
+    monkeypatch.setattr(cli, "fit_constant", forbidden)
+    for argv, message in ((["2", "1001"], "bounds: 1001 > 10**3"),
+                          (["1", "100"], "bounds: 1 < 2")):
+        code, out, err = run(capsys, "count", *argv)
+        assert code == 2 and out == "" and message in err, argv
+
+
+def test_slope_and_count_limits_sit_above_every_size_in_use():
+    # The README's examples, perfbench's scan workload and the tests'
+    # largest (slope 7919/12345, count 100 10000) all run below the limits.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    denominators = [int(q) for q in re.findall(r"slope\s+\d+/(\d+)", readme)]
+    assert len(denominators) >= 2 and max(denominators + [12345]) <= cli._EXACT_MAX_Q
+    bounds = [int(b) for args in re.findall(r"count ((?:\d+ )+)", readme)
+              for b in args.split()]
+    bounds += [10 ** max(_scan_sizes()["count_bound_digits"]), 10000]
+    assert len(bounds) >= 3 and max(bounds) <= 10 ** cli._VALUE_MAX_EXP
+
+
+_USAGE_ERRORS = {
+    "slope": (["slope", "2/4"], "2/4"),
+    "verify": (["verify", "all", "--max", "1"], "--max: 1 < 2"),
+    "ball": (["ball", "--max-q", "0"], "--max-q: 0 < 1"),
+    "tree": (["tree", "--depth", "-1"], "--depth: -1 < 0"),
+    "norm": (["norm", "0", "0"], "nonzero"),
+    "count": (["count", "5", "3"], "bounds must increase, got 3 after 5"),
+    "frobenius": (["frobenius", "--bound", "0"], "--bound: 0 < 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_USAGE_ERRORS))
+def test_usage_error_writes_nothing(capsys, tmp_path, name):
+    # main opens stdout or --out only once the subcommand has returned.
+    argv, message = _USAGE_ERRORS[name]
+    target = tmp_path / "doc"
+    for out_flag in ([], ["--out", str(target)]):
+        code, out, err = run(capsys, *argv, *out_flag)
+        assert code == 2 and out == "" and message in err, out_flag
+        assert not target.exists()
 
 
 def test_out_flag_writes_stdout_payload(capsys, tmp_path):

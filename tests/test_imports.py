@@ -1,7 +1,10 @@
-"""Every name a package module or test module imports is used in that module.
+"""Every name a package module or test module imports is used in that module,
+and every private module-level name of the package is referred to.
 
 A stdlib-only stand-in for a linter's unused-import rule.  The package's
-``__init__.py`` is skipped because its imports are the public re-exports.
+``__init__.py`` is skipped there because its imports are the public
+re-exports.  The second check keeps helpers that no code calls any more
+from staying behind.
 """
 
 import ast
@@ -34,6 +37,49 @@ def unused_imports(source: str) -> list[str]:
 def test_checker_flags_an_unused_import():
     assert unused_imports("import math\nimport sys\nsys.exit()\n") == ["math (line 1)"]
     assert unused_imports("from typing import Iterator as It\nx: It\n") == []
+
+
+def _defines(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _refers(stmt) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level _name that no other statement of
+    its module refers to and no other module imports, of the modules in
+    sources (module name -> source)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {(node.module, alias.name) for tree in trees.values()
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            elsewhere = set().union(*(_refers(s) for s in tree.body if s is not stmt))
+            found += [f"{module}.{name}" for name in _defines(stmt)
+                      if name.startswith("_") and not name.startswith("__")
+                      and name not in elsewhere and (module, name) not in imported]
+    return found
+
+
+def test_checker_flags_an_unreferenced_helper():
+    sources = {"a": "def _f(n):\n    return _f(n - 1)\n_G = 1\n_H = 2\nprint(_G)\n",
+               "b": "from .a import _H\n"}
+    assert unreferenced_helpers(sources) == ["a._f"]
+
+
+def test_package_refers_to_every_helper():
+    package = Path(markovnorm.__file__).parent.glob("*.py")
+    assert unreferenced_helpers({p.stem: p.read_text(encoding="utf-8")
+                                 for p in package}) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: (
