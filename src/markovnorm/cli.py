@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Iterable
@@ -221,7 +222,8 @@ def cmd_ball(args) -> tuple[int, Document]:
             raise PreconditionViolatedError("--witness must be nonzero")
         q = _reduced((wq, wp))[2]  # m(p/q) alone has about 1.4 q bits
         if q > _EXACT_MAX_Q:
-            raise PreconditionViolatedError(f"--witness: reduced denominator {q} > 2**18")
+            raise PreconditionViolatedError(
+                f"--witness: reduced denominator {q} > {_EXACT_MAX_Q}")
         witness = (wq, wp)
     cone = _ball_cone(args.max_q)
     if args.format == "csv":
@@ -311,13 +313,14 @@ def cmd_norm(args) -> tuple[int, Document]:
 
 
 # frobenius walks every Markov triple up to --bound, about 0.18 (ln bound)**2
-# of them, and sorts their values.  Measured in a fresh process for --list
-# on a 2-vCPU VM, written in slices (time, peak memory, triples):
-#   bound 10**150: 0.09 s, 18 MB,  21,697    bound 10**500: 3.1 s,  61 MB, 239,984
-#   bound 10**300: 0.56 s, 27 MB,  86,518    bound 10**600: 5.5 s,  91 MB, 345,484
-#   bound 10**400: 1.6 s,  40 MB, 153,665    bound 10**700: 9.4 s, 130 MB
-# count makes the same walk without the list and the sort: count 10**500
-# takes 0.85-1.1 s at 15 MB.
+# of them, checks each against Markov's equation and sorts their values.
+# Measured in a fresh process for --list on a 2-vCPU VM, written in slices
+# (time over three runs, peak memory, triples):
+#   10**150: 0.04 s,      17 MB,  21,697    10**500: 1.4-1.7 s, 60 MB, 239,984
+#   10**300: 0.28-0.47 s, 26 MB,  86,518    10**600: 4.1 s,     89 MB, 345,484
+#   10**400: 0.72-1.3 s,  39 MB, 153,665    10**700: 6.2 s,    129 MB
+# count makes the same walk without the check, the list and the sort: count
+# 10**500 takes 0.20-0.23 s at 15 MB.
 _VALUE_MAX_EXP = 500  # frobenius --bound and count's bounds <= 10**_VALUE_MAX_EXP
 
 
@@ -423,6 +426,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str):
+    """Refuse an --out path whose directory is missing, before any work and
+    without creating the file; open itself can still fail, and main reports
+    that the same way."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise PreconditionViolatedError(f"--out: no directory {directory!r}")
+    if os.path.isdir(path):
+        raise PreconditionViolatedError(f"--out: {path!r} is a directory")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -433,11 +447,17 @@ def main(argv=None) -> int:
     if max_digits:
         sys.set_int_max_str_digits(0)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         code, texts = args.fn(args)
         if args.out is None:
             sys.stdout.writelines(texts)
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            try:
+                fh = open(args.out, "w", encoding="utf-8")
+            except OSError as ex:
+                raise PreconditionViolatedError(f"--out: {ex}") from None
+            with fh:
                 fh.writelines(texts)
     except ValueError as ex:  # every package error for bad input is one
         print(f"markovnorm: error: {ex}", file=sys.stderr)

@@ -12,10 +12,11 @@ Both walk the Stern-Brocot path to p/q one run of equal moves (one partial
 quotient) at a time.  A run keeps one endpoint fixed, so it is one 2x2
 matrix power.  The power of a determinant-1 matrix is two Chebyshev scalars
 in its trace (``_chebyshev``), doubled with 2 big-int products per bit of k,
-and four products to apply them.  The trace route forms its last matrix
-product only on the diagonal, which is all the trace reads.  The descent
-takes its runs from ``_runs``, which ``stern_brocot_path`` and the norm
-sandwich share; the trace route finds its own by Euclid's algorithm.
+and four products to apply them.  The trace route takes its last run
+M**k N through the trace alone, U(k-1) tr(M N) - U(k-2) tr(N) with M N
+formed only on the diagonal, so that power is never multiplied out.  The
+descent takes its runs from ``_runs``, which ``stern_brocot_path`` and the
+norm sandwich share; the trace route finds its own by Euclid's algorithm.
 
 They must agree everywhere; tests and the acceptance gate compare them.
 ``markov_table`` walks the Farey tree with its slope labels, pruned by
@@ -252,28 +253,37 @@ def christoffel_matrix(p: int, q: int):
 
 
 def _christoffel_factors(p: int, q: int):
-    """(X, Y) with X Y = christoffel_matrix(p, q).
+    """(X, Y) with X Y = christoffel_matrix(p, q): the last run's power and
+    its other factor, in their order."""
+    m, k, n, m_first = _christoffel_run(p, q)
+    power = _mat_pow(m, k)
+    return (power, n) if m_first else (n, power)
+
+
+def _christoffel_run(p: int, q: int):
+    """(M, k, N, m_first) with christoffel_matrix(p, q) = M**k N if m_first,
+    else N M**k: the last run's base and length and its other factor.
 
     W(lo+hi) = W(lo) W(hi) for Farey neighbours lo < hi.  From the bracket
     (0/1, 1/0) with W = a, b, the runs to p/q = [0; a1, ..., an] are L**a1
     R**a2 ..., each one power: W(hi) = W(lo)**k W(hi), W(lo) = W(lo) W(hi)**k.
-    Each product is formed one run late, so the last is left to the caller.
+    Every run but the last is multiplied out; the last is left to the caller.
     """
     p, q = as_slope(p, q)
-    x, y = IDENTITY, GENERATORS["a"]  # W(0/1)
-    hi = GENERATORS["b"]
-    pending_hi = False  # x y is W(hi), else W(lo)
-    while p:
+    lo, hi = GENERATORS["a"], GENERATORS["b"]  # W(0/1), W(1/0)
+    if p == 0:
+        return lo, 1, IDENTITY, True
+    moves_hi = True  # the runs alternate, the first moving hi
+    while True:
         k, r = divmod(q, p)
-        if pending_hi:
-            hi = mat_mul(x, y)
-            x, y = lo, _mat_pow(hi, k)
+        if r == 0:
+            return (lo, k, hi, True) if moves_hi else (hi, k, lo, False)
+        if moves_hi:
+            hi = mat_mul(_mat_pow(lo, k), hi)
         else:
-            lo = mat_mul(x, y)
-            x, y = _mat_pow(lo, k), hi
-        pending_hi = not pending_hi
+            lo = mat_mul(lo, _mat_pow(hi, k))
+        moves_hi = not moves_hi
         p, q = r, p
-    return x, y
 
 
 def _trace_to_markov(trace: int) -> int:
@@ -286,9 +296,12 @@ def markov_of_slope_via_trace(p: int, q: int) -> int:
     """Markov number of p/q as one third of the Christoffel word's trace.
 
     The matrix is ``christoffel_matrix``, one power of generator products
-    per partial quotient; its last product X Y enters only through its
-    diagonal, tr(X Y) = sum of x_ij y_ji.  No Markov recurrence or descent
-    value enters.
+    per partial quotient, and its last run M**k N (or N M**k) is taken
+    through the trace: M**k = U(k-1) M - U(k-2) I as det M = 1, so
+    tr(M**k N) = U(k-1) tr(M N) - U(k-2) tr(N), and tr(M N) = sum of
+    m_ij n_ji is the product's diagonal alone.  No Markov recurrence or
+    descent value enters.
     """
-    (a, b, c, d), (e, f, g, h) = _christoffel_factors(p, q)
-    return _trace_to_markov(a * e + b * g + c * f + d * h)
+    (a, b, c, d), k, (e, f, g, h), _ = _christoffel_run(p, q)
+    s, u = _chebyshev(a + d, k - 1)
+    return _trace_to_markov(u * (a * e + b * g + c * f + d * h) - s * (e + h))

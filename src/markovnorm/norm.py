@@ -140,8 +140,9 @@ def stable_norm_interval(v) -> NormInterval:
     """
     g, p, q = _reduced(v)
     if q > _EXACT_MAX_Q:
-        raise AccuracyLimitError(f"reduced denominator {q} > 2**18: use the real-"
-                                 "point route (norm_real; norm x y without --exact)")
+        raise AccuracyLimitError(f"reduced denominator {q} > {_EXACT_MAX_Q}: use "
+                                 "the real-point route (norm_real; norm x y "
+                                 "without --exact)")
     return NormInterval(*_lattice_norm(markov_of_slope(p, q), g, 0))
 
 

@@ -122,20 +122,30 @@ def _walk_values(bound: int):
     ``_oriented_children``'s rule.  w grows from a node to its children, so
     only children within the bound are pushed; the right child is popped
     first.
+
+    A child whose bit lengths already place it above the bound is not
+    multiplied out.  In an oriented node w is the strictly largest entry,
+    so the left child 3uw - v > 3uw - w >= 2uw >= 2**(bits(u) + bits(w) - 1),
+    and likewise the right child with v for u.  That is at least
+    2**bits(bound) > bound once bits(u) > room = bits(bound) - bits(w).
     """
     yield from (t for t in SPINE if t[2] <= bound)
     stack = [BINARY_ROOT] if bound >= 5 else []
+    bits = bound.bit_length()
     while stack:
         node = stack.pop()
         yield node
         u, v, w = node
+        room = bits - w.bit_length()
         t = 3 * w  # the trace of w, shared by both children
-        left = t * u - v
-        if left <= bound:
-            stack.append((u, w, left))
-        right = t * v - u
-        if right <= bound:
-            stack.append((w, v, right))
+        if u.bit_length() <= room:
+            left = t * u - v
+            if left <= bound:
+                stack.append((u, w, left))
+        if v.bit_length() <= room:
+            right = t * v - u
+            if right <= bound:
+                stack.append((w, v, right))
 
 
 def _orient(target: OrderedTriple):

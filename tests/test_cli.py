@@ -511,7 +511,7 @@ def test_ball_witness_denominator_limit(capsys, monkeypatch):
     code, out, err = run(
         capsys, "ball", "--max-q", "2", "--format", "svg", "--witness", "262145,1")
     assert code == 2 and out == ""
-    assert "--witness" in err and "262145 > 2**18" in err
+    assert "--witness" in err and "262145 > 262144" in err
     monkeypatch.undo()
     # (524288, 2) reduces to twice (2**18, 1), at the limit.
     code, out, _ = run(
@@ -577,6 +577,27 @@ def test_usage_error_writes_nothing(capsys, tmp_path, name):
         code, out, err = run(capsys, *argv, *out_flag)
         assert code == 2 and out == "" and message in err, out_flag
         assert not target.exists()
+
+
+def test_out_path_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # A missing directory, or a directory as the file, is refused before the
+    # subcommand runs; an open that fails anyway is reported the same way.
+    def forbidden(*args):
+        raise AssertionError("the scan ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_collect_by_value", forbidden)
+    for argv in (["tree", "--depth", "3"], ["frobenius", "--bound", "100"]):
+        for target in (tmp_path / "missing" / "doc.json", tmp_path):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert code == 2 and out == "", (argv, target)
+            message, wall = err.splitlines()
+            assert message.startswith("markovnorm: error: --out: ")
+            assert wall.startswith("wall")
+    assert list(tmp_path.iterdir()) == []
+    too_long = tmp_path / ("x" * 300)  # past the file system's name limit
+    code, out, err = run(capsys, "tree", "--depth", "3", "--out", str(too_long))
+    assert code == 2 and out == "" and err.startswith("markovnorm: error: --out: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_flag_writes_stdout_payload(capsys, tmp_path):

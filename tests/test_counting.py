@@ -71,6 +71,14 @@ def test_fit_constant_counts_equal_count_triples():
     assert [pt.count for pt in points] == [count_triples(R) for R in schedule]
 
 
+def test_fit_constant_counts_at_ten_to_the_300():
+    # The walk skips the products of children its bit lengths place above
+    # the bound; the counts are those of the walk that multiplied out every
+    # child.
+    points = fit_constant([10**100, 10**200, 10**300])
+    assert [pt.count for pt in points] == [9670, 38512, 86518]
+
+
 def test_fit_constant_drift_shrinks():
     points = fit_constant([10**3, 10**6, 10**9, 10**12])
     cs = [pt.c_estimate for pt in points]

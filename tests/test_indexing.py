@@ -143,9 +143,21 @@ def test_christoffel_matrix_is_the_word_product():
 
 
 def test_trace_route_takes_the_trace_of_the_product():
-    long_runs = [(p, q) for q in range(2, 5001) for p in (1, q - 1)]
-    for p, q in seed1_slope_queries() + long_runs:
-        assert markov_of_slope_via_trace(p, q) * 3 == mat_trace(christoffel_matrix(p, q))
+    # The route takes its last run M**k N through the trace alone.  Runs of
+    # 9 and 10 sit on both sides of _chebyshev's switch from plain steps to
+    # doubling; the last run moves the upper end (M**k N) or the lower (N M**k).
+    ends = [(p, q) for q in range(2, 5001) for p in {1, 2, q - 2, q - 1}
+            if 0 < p < q and math.gcd(p, q) == 1]
+    last_runs = set()
+    for p, q in seed1_slope_queries() + ends + [(0, 1), (1, 1), (7919, 12345)]:
+        _, k, _, m_first = markovnorm.indexing._christoffel_run(p, q)
+        last_runs.add((k, m_first))
+        m = markov_of_slope_via_trace(p, q)
+        assert m * 3 == mat_trace(christoffel_matrix(p, q)), (p, q)
+        assert m == markov_of_slope(p, q), (p, q)
+    for k in (2, 9, 10):
+        assert {(k, True), (k, False)} <= last_runs
+    assert (1, True) in last_runs
 
 
 def test_trace_route_uses_no_descent(monkeypatch):

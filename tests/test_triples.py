@@ -219,6 +219,19 @@ def test_walk_values_is_the_slope_labelled_walk(bound):
     assert sorted(triples._walk_values(bound)) == sorted(_slope_labelled_walk(bound))
 
 
+def test_walk_values_at_bounds_where_its_screen_is_tight():
+    # The walk skips a child once bits(u) + bits(w) > bits(bound), so the
+    # bounds at and beside a power of two, and a Markov number and one less,
+    # are where a screen off by one bit would drop or keep a node wrongly.
+    markov = [markov_of_slope(p, q) for p, q in
+              [(1, 2), (1, 3), (2, 3), (2, 5), (3, 7), (7, 19), (1, 40), (39, 40)]]
+    bounds = [b for k in range(1, 71) for b in (2**k - 1, 2**k, 2**k + 1)]
+    bounds += [b for m in markov for b in (m - 1, m)]
+    for bound in bounds:
+        assert sorted(triples._walk_values(bound)) == sorted(
+            _slope_labelled_walk(bound)), bound
+
+
 def test_ordering_gap_on_proper_nodes():
     # Every node below the singular spine keeps 3*small*mid < 2*max.
     assert not 3 * 1 * 1 < 2 * 1  # the root itself is the lone violator
