@@ -5,11 +5,12 @@ and returns that code with its document (JSON, CSV, or SVG) as texts in
 order.  ``main`` alone writes them, to stdout or --out FILE, which it opens
 only once the subcommand has returned, so a usage error writes nothing.
 ``tree``, ``frobenius --list`` and ``ball`` return generators, the lists in
-``_SLICE`` entries per text and ``ball`` sector by sector, so no document
-is held whole.  ``_json`` alone lays out JSON; a streamed list is cut from
-``_json`` of a skeleton (``_json_cut``).  Big integers are decimal strings,
-so no value passes through floating point on an output path.  Wall-clock
-time goes to stderr only, keeping the data byte-reproducible.
+``_SLICE`` entries per text and ``ball`` sector by sector, as
+``norm._ball_sectors`` draws them, so no document is held whole.  ``_json``
+alone lays out JSON; a streamed list is cut from ``_json`` of a skeleton
+(``_json_cut``).  Big integers are decimal strings, so no value passes
+through floating point on an output path.  Wall-clock time goes to stderr
+only, keeping the data byte-reproducible.
 
 Exit codes: 0 success / property verified, 1 mathematical violation or
 failed certification (AccuracyLimitError, its reason on stderr), 2 usage
@@ -37,15 +38,14 @@ from .conjectures import (
 from .counting import fit_constant
 from .errors import AccuracyLimitError, PreconditionViolatedError
 from .indexing import (
-    christoffel_matrix,
     christoffel_word,
     markov_of_slope,
+    markov_of_slope_via_trace,
     markov_table,
-    mat_trace,
     parse_slope,
     stern_brocot_path,
 )
-from .norm import (_EXACT_MAX_Q, _ball_cone, _ball_orbit, _reduced, norm_real,
+from .norm import (_EXACT_MAX_Q, _ball_cone, _ball_sectors, _reduced, norm_real,
                    stable_norm, stable_norm_interval)
 from .triples import SPINE, enumerate_tree
 
@@ -89,16 +89,19 @@ def _joined(head: str, slices, sep: str, tail: str) -> Document:
     yield tail
 
 
-# slope's cost is m(p/q), about 1.4 q bits, and its decimal text; it takes
-# norm --exact's limit on q.  In a fresh process on a 2-vCPU VM, slope
-# 1/262144 takes 0.5-0.6 s and 262143/262144 1.6 s, both at 19 MB.
+# slope's cost is m(p/q), about 1.4 q bits, by both routes, and the decimal
+# text of m and of the trace 3m, most of it; it takes norm --exact's limit on
+# q.  In a fresh process on a 2-vCPU VM (three runs, peak memory), slope
+# 1/262144 takes 0.45-0.54 s, 100001/262143 0.77-0.85 s and 262143/262144
+# 1.38-1.47 s, at 19-20 MB.
 def cmd_slope(args) -> tuple[int, Document]:
     slope = parse_slope(args.fraction)
     if slope.q > _EXACT_MAX_Q:
         raise PreconditionViolatedError(
             f"fraction: denominator {slope.q} > {_EXACT_MAX_Q}")
     path = "" if slope.q == 1 else stern_brocot_path(slope.p, slope.q)
-    trace = mat_trace(christoffel_matrix(slope.p, slope.q))
+    # 3 m(p/q) by the trace route, independent of the descent's "markov"
+    trace = 3 * markov_of_slope_via_trace(slope.p, slope.q)
     text = _json({
         "p": slope.p,
         "q": slope.q,
@@ -119,9 +122,23 @@ def cmd_slope(args) -> tuple[int, Document]:
 #   max  700: 0.61-0.91 s,  58 MB
 _VERIFY_MAX = 1000
 
+# verify theorem1 costs about 0.1 ms per sample, a few certified real norms
+# at points with coordinates up to 50, in flat memory.  Measured in a fresh
+# process on a 2-vCPU VM (time over two runs, peak memory):
+#   samples  1,000: 0.09 s,      15 MB     samples 20,000: 2.3 s, 15 MB
+#   samples  5,000: 0.44-0.47 s, 15 MB     samples 40,000: 3.9-4.0 s, 15 MB
+#   samples 10,000: 0.82-0.84 s, 15 MB
+_SAMPLES_MAX = 10000
+
 
 def cmd_verify(args) -> tuple[int, Document]:
-    if args.family != "theorem1":  # before any table
+    if args.family == "theorem1":  # before any sample
+        if args.samples < 1:
+            raise PreconditionViolatedError(f"--samples: {args.samples} < 1")
+        if args.samples > _SAMPLES_MAX:
+            raise PreconditionViolatedError(
+                f"--samples: {args.samples} > {_SAMPLES_MAX}")
+    else:  # before any table
         if args.max < 2:
             raise PreconditionViolatedError(f"--max: {args.max} < 2")
         if args.max > _VERIFY_MAX:
@@ -155,23 +172,6 @@ def cmd_verify(args) -> tuple[int, Document]:
 _BALL_MAX_Q = 512
 
 
-def _ball_sectors(cone, fmt):
-    """ball_boundary_sample's points as "x,y" texts, fmt applied to each
-    float, one list per sector of the group in turn; cone is _ball_cone's.
-
-    Every coordinate is (e q + f p) / n for one of the six rows (e, f) of the
-    group, so each row's value is computed as there and formatted once per
-    cone point, and each sector joins the texts of its two rows.  The six
-    rows are held throughout, the points of one sector at a time.
-    """
-    texts = {}  # row (e, f) -> fmt((e q + f p) / n) over the cone
-    for (a, b, c, d), cut in _ball_orbit():
-        for e, f in ((a, b), (c, d)):
-            if (e, f) not in texts:
-                texts[e, f] = [fmt((e * q + f * p) / n) for q, p, n in cone]
-        yield list(map(",".join, zip(texts[a, b][cut], texts[c, d][cut])))
-
-
 def _witness_lines(witness) -> str:
     """The three comparison lines through witness / ||witness||, as SVG."""
     if witness is None:
@@ -194,7 +194,8 @@ def _svg_ball(cone, overlay: str) -> Document:
     yield ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">\n'
            '<g transform="scale(1,-1)">\n'
            '<polyline fill="none" stroke="black" stroke-width="0.006" points="')
-    sectors = _ball_sectors(cone, "%.10f".__mod__)
+    sectors = (list(map(",".join, pairs))
+               for pairs in _ball_sectors(cone, "%.10f".__mod__))
     points = next(sectors)
     start = points[0]  # the polyline closes on its first point
     yield " ".join(points)
@@ -227,7 +228,8 @@ def cmd_ball(args) -> tuple[int, Document]:
         witness = (wq, wp)
     cone = _ball_cone(args.max_q)
     if args.format == "csv":
-        return 0, ("\n".join(points) + "\n" for points in _ball_sectors(cone, repr))
+        return 0, ("\n".join(map(",".join, pairs)) + "\n"
+                   for pairs in _ball_sectors(cone, repr))
     return 0, _svg_ball(cone, _witness_lines(witness))
 
 

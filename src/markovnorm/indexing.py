@@ -248,16 +248,11 @@ def word_matrix(word: str):
 
 
 def christoffel_matrix(p: int, q: int):
-    """word_matrix(christoffel_word(p, q)), by the Cohn factorisation."""
-    return mat_mul(*_christoffel_factors(p, q))
-
-
-def _christoffel_factors(p: int, q: int):
-    """(X, Y) with X Y = christoffel_matrix(p, q): the last run's power and
-    its other factor, in their order."""
+    """word_matrix(christoffel_word(p, q)), by the Cohn factorisation: the
+    last run's power and its other factor, multiplied in their order."""
     m, k, n, m_first = _christoffel_run(p, q)
     power = _mat_pow(m, k)
-    return (power, n) if m_first else (n, power)
+    return mat_mul(power, n) if m_first else mat_mul(n, power)
 
 
 def _christoffel_run(p: int, q: int):

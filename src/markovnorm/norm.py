@@ -7,7 +7,9 @@ symmetry group of the norm ball, and by convexity to the whole plane.
 The group acts on the three linear forms x, y and -x - y by signed
 permutations, so it keeps the values |x|, |y|, |x + y|; at a cone point
 (q, p) they are p <= q <= q + p.  The cone image of (x, y) is therefore
-(b, a), with a <= b the two smaller of those values.
+(b, a), with a <= b the two smaller of those values.  The unit ball's
+boundary is the cone sample carried round by the group, one sector at a
+time (``_ball_sectors``), for ``ball_boundary_sample`` and the CLI alike.
 
 Real directions are evaluated by sandwiching: descend the Farey tree towards
 the direction one Stern-Brocot run at a time, keep the bracketing boundary
@@ -367,25 +369,30 @@ def _ball_cone(max_q: int) -> list[tuple[int, int, float]]:
                                     key=lambda item: item[0].p / item[0].q)]
 
 
-def _ball_orbit():
-    """Each symmetry in _SECTORS with the slice of the sorted cone it maps
-    onto its sector in angular order: reversed when its determinant is -1,
-    and without the sector's start ray, on which the previous sector ends.
-    _SECTORS holds the sectors in turn from -pi."""
-    for g in _SECTORS:
-        a, b, c, d = g
-        yield g, slice(1, None) if a * d - b * c == 1 else slice(-2, None, -1)
+def _ball_sectors(cone, fmt):
+    """ball_boundary_sample's points, fmt applied to each coordinate, as one
+    iterator of (x, y) per sector in turn from -pi; cone is _ball_cone's.
+
+    Each g in _SECTORS maps the sorted cone onto its sector in angular order,
+    reversed when det g = -1, and without the start ray, where the previous
+    sector ends.  Every coordinate is (e q + f p) / n for one of the group's
+    six rows (e, f), so each row is computed and formatted once per cone
+    point, and the six are held throughout.
+    """
+    rows = {}  # (e, f) -> fmt((e q + f p) / n) over the cone
+    for a, b, c, d in _SECTORS:
+        for e, f in ((a, b), (c, d)):
+            if (e, f) not in rows:
+                rows[e, f] = [fmt((e * q + f * p) / n) for q, p, n in cone]
+        cut = slice(1, None) if a * d - b * c == 1 else slice(-2, None, -1)
+        yield zip(rows[a, b][cut], rows[c, d][cut])
 
 
 def ball_boundary_sample(max_q: int) -> list[tuple[float, float]]:
     """Points v / ||v|| for every primitive v with cone denominator <= max_q.
 
     The full symmetry orbit is emitted, deduplicated, sorted by angle in
-    (-pi, pi].  Raises OutOfRangeError when max_q < 1.  The CLI formats the
-    same floats from _ball_cone and _ball_orbit directly: every coordinate is
-    (e q + f p) / n for one of six rows (e, f) of the group, so it formats
-    each row's value once per cone point, not once per orbit point.
+    (-pi, pi].  Raises OutOfRangeError when max_q < 1.  The CLI writes the
+    same sectors, formatted as text.
     """
-    cone = _ball_cone(max_q)
-    return [((a * q + b * p) / n, (c * q + d * p) / n)
-            for (a, b, c, d), cut in _ball_orbit() for q, p, n in cone[cut]]
+    return [pt for sector in _ball_sectors(_ball_cone(max_q), float) for pt in sector]

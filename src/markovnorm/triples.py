@@ -8,8 +8,8 @@ has exactly two distinct children. Reduction to the root is one upward
 pass of max flips, whose smallest entries spell the node's tree path.
 
 Two walks go down the tree: ``_walk_values``, depth first and bounded by
-value, for the scans and counts; and ``_tree_levels``, level by level and
-bounded by depth, behind ``enumerate_tree`` and so the CLI's ``tree``.
+value, for the scans and counts; and ``enumerate_tree``, level by level and
+bounded by depth, for the CLI's ``tree``.
 """
 
 from __future__ import annotations
@@ -201,34 +201,24 @@ def children(t) -> tuple[OrderedTriple, ...]:
     return OrderedTriple(*left), OrderedTriple(v, w, right_max)
 
 
-def _tree_levels(depth: int):
-    """The levels of the tree from (1,2,5) down to ``depth``, as two lists each.
-
-    Level d is its 2^d L/R paths and its oriented nodes (u, v, w), left to
-    right.  A level is built from the one above by ``_oriented_children``
-    only when the caller asks for it, so a consumer that writes each level
-    out holds two levels at a time, not the tree.
-    """
-    paths, nodes = [""], [BINARY_ROOT]
-    yield paths, nodes
-    for _ in range(depth):
-        paths = [path + letter for path in paths for letter in "LR"]
-        nodes = [child for node in nodes for child in _oriented_children(node)]
-        yield paths, nodes
-
-
 def enumerate_tree(depth: int) -> Iterator[tuple[str, OrderedTriple]]:
     """Yield (path, triple) for every node with path length <= depth.
 
     Level d holds 2^d nodes; levels are emitted in order and left-to-right
     within a level, starting from ("", (1,2,5)).  Entries grow roughly
     doubly exponentially along balanced paths, so deep levels are huge.
-    The levels come from ``_tree_levels`` and are built one at a time.
+    A level is its paths and its oriented nodes (u, v, w), built from the
+    level above by ``_oriented_children`` only after that level's last node
+    is taken, so the walk holds at most two levels, not the tree.
     """
     if depth < 0:
         raise OutOfRangeError(f"depth must be >= 0, got {depth!r}")
-    # In an oriented node (u, v, w) the mediant w is the largest entry: it
-    # is at (1,2,5), and 3uw - v > w and 3vw - u > w below it.
-    for paths, nodes in _tree_levels(depth):
+    paths, nodes = [""], [BINARY_ROOT]
+    for d in range(depth + 1):
+        if d:
+            paths = [path + letter for path in paths for letter in "LR"]
+            nodes = [child for node in nodes for child in _oriented_children(node)]
+        # In an oriented node (u, v, w) the mediant w is the largest entry: it
+        # is at (1,2,5), and 3uw - v > w and 3vw - u > w below it.
         yield from zip(paths, [_ordered((u, v, w) if u < v else (v, u, w))
                                for u, v, w in nodes])

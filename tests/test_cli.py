@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -20,11 +21,14 @@ import markovnorm.conjectures as conjectures
 from markovnorm import (
     CheckResult,
     ball_boundary_sample,
+    christoffel_word,
     enumerate_tree,
     markov_numbers_up_to,
     markov_of_slope_via_trace,
+    mat_trace,
     stable_norm,
     verify_family,
+    word_matrix,
 )
 import markovnorm.cli as cli
 from markovnorm.cli import main
@@ -77,6 +81,46 @@ def test_slope_prints_big_markov_numbers_in_full(capsys):
     tail = markov_of_slope_via_trace(7919, 12345) % 10**20
     assert payload["markov"][-20:] == f"{tail:020d}"
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def _decimal(n: int) -> str:
+    """str(n) in full, past the int-to-str digit limit of Python 3.11+."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_slope_trace_is_the_word_product_trace(capsys, monkeypatch):
+    # The trace field against the letter-by-letter product of the Christoffel
+    # word, at the boundary labels, both ends of every denominator up to 200,
+    # random slopes and one whose numbers pass the int-to-str digit limit.
+    rng = random.Random(11)
+    slopes = [(0, 1), (1, 1), (7919, 12345)]
+    slopes += [(p, q) for q in range(2, 201) for p in {1, q - 1}]
+    while len(slopes) < 500:
+        q = rng.randint(2, 200)
+        p = rng.randint(1, q - 1)
+        if math.gcd(p, q) == 1:
+            slopes.append((p, q))
+    for p, q in slopes:
+        code, payload, _ = run_json(capsys, "slope", f"{p}/{q}")
+        trace = mat_trace(word_matrix(christoffel_word(p, q)))
+        assert code == 0 and payload["trace"] == _decimal(trace), (p, q)
+
+    def forbidden(*args):
+        raise AssertionError("a Christoffel matrix was built")
+
+    # No whole Christoffel matrix is built for the trace.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "markovnorm" and hasattr(module, "christoffel_matrix"):
+            monkeypatch.setattr(module, "christoffel_matrix", forbidden)
+    code, payload, _ = run_json(capsys, "slope", "2/3")
+    assert code == 0 and payload["trace"] == "87"
 
 
 def test_slope_rejects_unreduced(capsys):
@@ -439,6 +483,35 @@ def test_verify_max_limit_sits_above_every_size_in_use():
     sizes = [int(v) for v in re.findall(r"verify \w+ --max (\d+)", readme)]
     sizes += [_scan_sizes()["verify_max"], 80]
     assert len(sizes) >= 3 and max(sizes) <= cli._VERIFY_MAX
+
+
+def test_verify_samples_rule_writes_nothing(capsys, monkeypatch, tmp_path):
+    def draw(*args, **kwargs):
+        raise AssertionError("a theorem1 sample was drawn")
+
+    monkeypatch.setattr(cli, "verify_theorem1_random", draw)
+    limit = cli._SAMPLES_MAX
+    target = tmp_path / "theorem1.json"
+    for samples, message in ((limit + 1, f"--samples: {limit + 1} > {limit}"),
+                             (0, "--samples: 0 < 1")):
+        for out_flag in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, "verify", "theorem1", "--samples",
+                                 str(samples), *out_flag)
+            assert code == 2 and out == "" and message in err, samples
+            assert not target.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_SAMPLES_MAX", 3)
+    code, payload, _ = run_json(capsys, "verify", "theorem1", "--samples", "3")
+    assert code == 0 and payload["reports"][0]["bound"] == "3"
+
+
+def test_verify_samples_limit_sits_above_every_size_in_use():
+    # perfbench's scan workload, the README's example and the tests' largest
+    # (test_verify_theorem1's 25) all run below the limit.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sizes = [int(v) for v in re.findall(r"verify theorem1 --samples (\d+)", readme)]
+    sizes += [_scan_sizes()["theorem1_samples"], 25]
+    assert len(sizes) >= 3 and max(sizes) <= cli._SAMPLES_MAX
 
 
 def _scan_sizes():

@@ -136,9 +136,11 @@ def test_christoffel_matrix_is_the_word_product():
     # The run-length Cohn product against the letter-by-letter oracle; the
     # trace route reads only the diagonal of the last factors' product.
     for p, q in coprime_slopes(60):
-        x, y = markovnorm.indexing._christoffel_factors(p, q)
-        assert mat_det(x) == mat_det(y) == 1
-        assert mat_mul(x, y) == christoffel_matrix(p, q)
+        m, k, n, m_first = markovnorm.indexing._christoffel_run(p, q)
+        assert mat_det(m) == mat_det(n) == 1
+        power = markovnorm.indexing._mat_pow(m, k)
+        factors = (power, n) if m_first else (n, power)
+        assert mat_mul(*factors) == christoffel_matrix(p, q)
         assert christoffel_matrix(p, q) == word_matrix(christoffel_word(p, q))
 
 

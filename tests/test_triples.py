@@ -183,18 +183,19 @@ def test_enumerate_tree_yields_ascending_triples():
 
 @pytest.mark.parametrize("depth", range(11))
 def test_tree_levels_are_enumerate_tree_and_children(depth):
-    # The level walk flattened is enumerate_tree: the same paths and the
-    # same triples, sorted.  Each level is also the children() of the one
-    # above, in order, and children() orients through the reduction chain,
-    # not through the walk.
-    levels = list(triples._tree_levels(depth))
-    assert [(path, tuple(sorted(node)))
-            for paths, nodes in levels for path, node in zip(paths, nodes)] == [
-        (path, tuple(t)) for path, t in enumerate_tree(depth)]
+    # enumerate_tree grouped by path length is its levels, in order.  Level
+    # d holds 2^d nodes, the paths of length d in L/R order, and it is the
+    # children() of the level above, in order; children() orients through
+    # the reduction chain, not through the walk.
+    nodes = list(enumerate_tree(depth))
+    levels = [list(g) for _, g in itertools.groupby(nodes, lambda n: len(n[0]))]
+    assert len(levels) == depth + 1
     above = [BINARY_ROOT]
-    for d, (paths, nodes) in enumerate(levels):
-        assert len(paths) == len(nodes) == 2**d
-        assert [tuple(sorted(node)) for node in nodes] == above
+    for d, level in enumerate(levels):
+        assert len(level) == 2**d
+        assert [path for path, _ in level] == [
+            "".join(w) for w in itertools.product("LR", repeat=d)]
+        assert [tuple(t) for _, t in level] == above
         above = [tuple(c) for t in above for c in children(t)]
 
 
