@@ -138,6 +138,10 @@ def cmd_verify(args) -> tuple[int, Document]:
         if args.samples > _SAMPLES_MAX:
             raise PreconditionViolatedError(
                 f"--samples: {args.samples} > {_SAMPLES_MAX}")
+        if not math.isfinite(args.tol):
+            raise PreconditionViolatedError(f"--tol must be finite, got {args.tol!r}")
+        if args.tol < 1e-12:  # norm_real's floor
+            raise PreconditionViolatedError(f"--tol: {args.tol!r} < 1e-12")
     else:  # before any table
         if args.max < 2:
             raise PreconditionViolatedError(f"--max: {args.max} < 2")
@@ -165,10 +169,11 @@ def cmd_verify(args) -> tuple[int, Document]:
 
 
 # ball's cost grows with the max_q**2 * 3 / pi**2 cone points, each drawn in
-# 12 sectors.  Measured in process for --format svg on a 2-vCPU VM, written
-# sector by sector (time, peak memory):
-#   max_q  400: 0.34 s,  53 MB     max_q  800: 1.8 s, 169 MB
-#   max_q  512: 0.58 s,  78 MB     max_q 1024: 3.4 s, 269 MB
+# 12 sectors from 3 formatted rows.  Measured in a fresh process for
+# --format svg --out FILE on a 2-vCPU VM, written sector by sector (time of
+# main over two or three runs, peak memory):
+#   max_q  400: 0.44-0.46 s, 54 MB     max_q  800: 1.8-2.0 s, 171 MB
+#   max_q  512: 0.75 s,      78 MB     max_q 1024: 2.7-3.7 s, 272 MB
 _BALL_MAX_Q = 512
 
 
@@ -394,7 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="denominator bound for the integer families")
     p.add_argument("--samples", type=int, default=100,
                    help="tuple count for family theorem1")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="absolute width bound for family theorem1 only, "
+                        "finite and >= 1e-12")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("ball", cmd_ball, "sample the unit ball boundary")

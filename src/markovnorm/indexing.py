@@ -26,7 +26,7 @@ tree as triples (``triples._walk_values``).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import NamedTuple
 
@@ -40,6 +40,11 @@ from .errors import (
 class Slope(NamedTuple):
     p: int
     q: int
+
+
+# Slope from a (p, q) tuple, built in C: the named tuple's own __new__ is
+# Python code, and markov_table makes one key per slope.
+_slope = partial(tuple.__new__, Slope)
 
 
 def as_slope(p: int, q: int) -> Slope:
@@ -156,7 +161,7 @@ def markov_table(max_q: int) -> dict[Slope, int]:
         node = stack.pop()
         left, right, mid = node
         (pl, ql, ml), (pr, qr, mr), (pm, qm, mm) = node
-        table[Slope(pm, qm)] = mm
+        table[_slope((pm, qm))] = mm
         if ql + qm <= max_q:
             stack.append((left, mid, (pl + pm, ql + qm, 3 * ml * mm - mr)))
         if qm + qr <= max_q:

@@ -9,7 +9,9 @@ permutations, so it keeps the values |x|, |y|, |x + y|; at a cone point
 (q, p) they are p <= q <= q + p.  The cone image of (x, y) is therefore
 (b, a), with a <= b the two smaller of those values.  The unit ball's
 boundary is the cone sample carried round by the group, one sector at a
-time (``_ball_sectors``), for ``ball_boundary_sample`` and the CLI alike.
+time (``_ball_sectors``), for ``ball_boundary_sample`` and the CLI alike;
+the group holds -I, so the far half of the sectors is the near half by
+sign, formatted once.
 
 Real directions are evaluated by sandwiching: descend the Farey tree towards
 the direction one Stern-Brocot run at a time, keep the bracketing boundary
@@ -371,19 +373,27 @@ def _ball_cone(max_q: int) -> list[tuple[int, int, float]]:
 
 def _ball_sectors(cone, fmt):
     """ball_boundary_sample's points, fmt applied to each coordinate, as one
-    iterator of (x, y) per sector in turn from -pi; cone is _ball_cone's.
+    iterator of (x, y) per sector in turn from -pi; cone is _ball_cone's and
+    fmt returns a float or its text.
 
     Each g in _SECTORS maps the sorted cone onto its sector in angular order,
     reversed when det g = -1, and without the start ray, where the previous
     sector ends.  Every coordinate is (e q + f p) / n for one of the group's
-    six rows (e, f), so each row is computed and formatted once per cone
-    point, and the six are held throughout.
+    six rows (e, f).  Since -I = r**3 is in the group, they are the rows
+    (1, 0), (0, 1) and (1, 1), where e q + f p >= 0 on the cone, and their
+    negatives.  Only the first three are computed and formatted, once per
+    cone point; each negative row is taken from its row by sign, as repr and
+    "%.10f" write -x as "-" and the text of x.  The one zero, (0, 1) at the
+    cone's first point (1, 0), stays unsigned, as fmt(0 / n) writes it.  The
+    six rows are held throughout.
     """
     rows = {}  # (e, f) -> fmt((e q + f p) / n) over the cone
+    for e, f in ((1, 0), (0, 1), (1, 1)):
+        row = rows[e, f] = [fmt((e * q + f * p) / n) for q, p, n in cone]
+        rows[-e, -f] = (list(map("-".__add__, row)) if isinstance(row[0], str)
+                        else [-x for x in row])
+    rows[0, -1][0] = rows[0, 1][0]  # the zero at (1, 0), unsigned
     for a, b, c, d in _SECTORS:
-        for e, f in ((a, b), (c, d)):
-            if (e, f) not in rows:
-                rows[e, f] = [fmt((e * q + f * p) / n) for q, p, n in cone]
         cut = slice(1, None) if a * d - b * c == 1 else slice(-2, None, -1)
         yield zip(rows[a, b][cut], rows[c, d][cut])
 

@@ -492,12 +492,18 @@ def test_verify_samples_rule_writes_nothing(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "verify_theorem1_random", draw)
     limit = cli._SAMPLES_MAX
     target = tmp_path / "theorem1.json"
-    for samples, message in ((limit + 1, f"--samples: {limit + 1} > {limit}"),
-                             (0, "--samples: 0 < 1")):
+    cases = [(["--samples", str(limit + 1)], f"--samples: {limit + 1} > {limit}"),
+             (["--samples", "0"], "--samples: 0 < 1")]
+    # --tol is norm_real's width bound: finite and at least 1e-12
+    cases += [(["--samples", "5", "--tol", tol], message) for tol, message in (
+        ("inf", "--tol must be finite, got inf"),
+        ("nan", "--tol must be finite, got nan"),
+        ("1e-13", "--tol: 1e-13 < 1e-12"),
+        ("-1", "--tol: -1.0 < 1e-12"))]
+    for flags, message in cases:
         for out_flag in ([], ["--out", str(target)]):
-            code, out, err = run(capsys, "verify", "theorem1", "--samples",
-                                 str(samples), *out_flag)
-            assert code == 2 and out == "" and message in err, samples
+            code, out, err = run(capsys, "verify", "theorem1", *flags, *out_flag)
+            assert code == 2 and out == "" and message in err, flags
             assert not target.exists()
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_SAMPLES_MAX", 3)
@@ -722,8 +728,10 @@ def test_output_is_deterministic(capsys):
     assert a == b
 
 
-# Documents that hold only integers, so no libm rounding can move them:
-# the SHA-256 of stdout and the exit code are pinned.
+# The SHA-256 of stdout and the exit code are pinned.  The tree, frobenius and
+# verify documents hold only integers, so no libm rounding can move them.  The
+# two ball documents hold floats from math.acosh, pinned as CPython 3.11 on
+# x86-64 glibc writes them; they hold the ball's drawing to its exact bytes.
 _PINNED = {
     "tree-8": (["tree", "--depth", "8"],
                "a9827e7e1144ec2147a149de0ae599d93ce06e20b263e9c9c55fd25060f37cd4"),
@@ -731,6 +739,11 @@ _PINNED = {
                        "ddfcbf6c424d4f9a1ee3a3a0acaaca6f1807326345964c93c1657df2fd4b9dfc"),
     "verify-all-80": (["verify", "all", "--max", "80"],
                       "52e47dfa6b198e56d055a3db69d21419f17f7d8f33b641e838b10e4c7b2a2458"),
+    "ball-100-svg-witness": (
+        ["ball", "--max-q", "100", "--format", "svg", "--witness", "7,3"],
+        "89379e0b27cba48e401aca1bd09fe579b5edbb6373474eebf547d22909316cbd"),
+    "ball-40-csv": (["ball", "--max-q", "40", "--format", "csv"],
+                    "b4fda44e84deaae707f74b26549d2e7c9de895b21d3d64417611cfd51fb4570d"),
 }
 
 

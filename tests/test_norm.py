@@ -21,10 +21,12 @@ from markovnorm import (
     NormInterval,
     OutOfRangeError,
     PreconditionViolatedError,
+    Slope,
     apply_symmetry,
     ball_boundary_sample,
     canonicalize,
     markov_of_slope_via_trace,
+    markov_table,
     norm_real,
     stable_norm,
     stable_norm_interval,
@@ -43,6 +45,8 @@ from markovnorm.norm import (
     _SMALL_STEPS,
     _SMALL_TRACES,
     _TRACE_BITS,
+    _ball_cone,
+    _ball_sectors,
     _iv_from_int_pow2,
     _norm_parts,
     _reduced,
@@ -596,3 +600,42 @@ def test_ball_boundary_sample_matches_stable_norm_orbits():
 def test_ball_boundary_sample_rejects_bad_bound():
     with pytest.raises(OutOfRangeError):
         ball_boundary_sample(0)
+
+
+@pytest.mark.parametrize("max_q", [1, 2, 5, 40])
+@pytest.mark.parametrize("fmt", [float, repr, "%.10f".__mod__],
+                         ids=["float", "repr", "fixed"])
+def test_ball_sectors_take_the_negative_half_by_sign(max_q, fmt):
+    # -I = r**3 is in the group, so sector i + 6 is sector i negated; only
+    # the three rows (1, 0), (0, 1), (1, 1) are formatted, once per point.
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return fmt(v)
+
+    cone = _ball_cone(max_q)
+    sectors = [list(s) for s in _ball_sectors(cone, counted)]
+    assert len(calls) == 3 * len(cone)
+    zero = fmt(0.0)
+    zeros = 0
+    for low, high in zip(sectors[:6], sectors[6:]):
+        assert len(low) == len(high)
+        for pt, mirror in zip(low, high):
+            for a, b in zip(pt, mirror):
+                if float(a) == 0.0:  # (1, 0) under the rows (0, -1), (0, 1)
+                    assert repr(a) == repr(b) == repr(zero)
+                    zeros += 1
+                else:
+                    assert repr(a) == repr(fmt(-float(b)))
+    # (1, 0) ends the sectors of det -1; in 1, 5, 7 and 11 it lands on an axis
+    assert zeros == 2
+
+
+def test_markov_table_keys_are_slopes():
+    table = markov_table(30)
+    for key, m in table.items():
+        p, q = key
+        assert type(key) is Slope and key._fields == ("p", "q")
+        assert key == Slope(p, q) and repr(key) == repr(Slope(p, q))
+        assert (key.p, key.q) == (p, q)
