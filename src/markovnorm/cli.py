@@ -45,8 +45,8 @@ from .indexing import (
     parse_slope,
     stern_brocot_path,
 )
-from .norm import (_EXACT_MAX_Q, _ball_cone, _ball_sectors, _reduced, norm_real,
-                   stable_norm, stable_norm_interval)
+from .norm import (_EXACT_MAX_Q, _TOL_MIN, _ball_cone, _ball_sectors, _reduced,
+                   norm_real, stable_norm, stable_norm_interval)
 from .triples import SPINE, enumerate_tree
 
 
@@ -68,6 +68,22 @@ def _json_cut(payload: dict, key: str, element):
     pieces = _json({**payload, key: [element, element]}).split(r"\u0000")
     k = len(pieces) // 2  # marks per element
     return pieces[0], pieces[1:k], pieces[k], pieces[-1]
+
+
+def _within(flag: str, value, lo, hi=math.inf, shown=None):
+    """Refuse value outside [lo, hi], naming flag; shown, if given, writes hi."""
+    if value < lo:
+        raise PreconditionViolatedError(f"{flag}: {value!r} < {lo!r}")
+    if value > hi:
+        raise PreconditionViolatedError(f"{flag}: {value!r} > {shown or repr(hi)}")
+
+
+def _check_tol(tol: float):
+    """--tol is norm_real's width bound: finite, since the norm payload echoes
+    it and JSON has no inf, and at least norm_real's floor."""
+    if not math.isfinite(tol):
+        raise PreconditionViolatedError(f"--tol must be finite, got {tol!r}")
+    _within("--tol", tol, _TOL_MIN)
 
 
 _SLICE = 1024  # list entries per text
@@ -133,20 +149,10 @@ _SAMPLES_MAX = 10000
 
 def cmd_verify(args) -> tuple[int, Document]:
     if args.family == "theorem1":  # before any sample
-        if args.samples < 1:
-            raise PreconditionViolatedError(f"--samples: {args.samples} < 1")
-        if args.samples > _SAMPLES_MAX:
-            raise PreconditionViolatedError(
-                f"--samples: {args.samples} > {_SAMPLES_MAX}")
-        if not math.isfinite(args.tol):
-            raise PreconditionViolatedError(f"--tol must be finite, got {args.tol!r}")
-        if args.tol < 1e-12:  # norm_real's floor
-            raise PreconditionViolatedError(f"--tol: {args.tol!r} < 1e-12")
+        _within("--samples", args.samples, 1, _SAMPLES_MAX)
+        _check_tol(args.tol)
     else:  # before any table
-        if args.max < 2:
-            raise PreconditionViolatedError(f"--max: {args.max} < 2")
-        if args.max > _VERIFY_MAX:
-            raise PreconditionViolatedError(f"--max: {args.max} > {_VERIFY_MAX}")
+        _within("--max", args.max, 2, _VERIFY_MAX)
     if args.family == "theorem1":
         reports = [verify_theorem1_random(args.samples, tol=args.tol,
                                           seed=args.seed)]
@@ -175,13 +181,14 @@ def cmd_verify(args) -> tuple[int, Document]:
 #   max_q  400: 0.44-0.46 s, 54 MB     max_q  800: 1.8-2.0 s, 171 MB
 #   max_q  512: 0.75 s,      78 MB     max_q 1024: 2.7-3.7 s, 272 MB
 _BALL_MAX_Q = 512
+_SVG_FLOAT = "%.10f"  # every number an SVG document draws
 
 
 def _witness_lines(witness) -> str:
     """The three comparison lines through witness / ||witness||, as SVG."""
     if witness is None:
         return ""
-    fmt = lambda v: f"{v:.10f}"
+    fmt = _SVG_FLOAT.__mod__
     wq, wp = witness
     n = stable_norm((wq, wp))
     x0, y0 = wq / n, wp / n
@@ -200,7 +207,7 @@ def _svg_ball(cone, overlay: str) -> Document:
            '<g transform="scale(1,-1)">\n'
            '<polyline fill="none" stroke="black" stroke-width="0.006" points="')
     sectors = (list(map(",".join, pairs))
-               for pairs in _ball_sectors(cone, "%.10f".__mod__))
+               for pairs in _ball_sectors(cone, _SVG_FLOAT.__mod__))
     points = next(sectors)
     start = points[0]  # the polyline closes on its first point
     yield " ".join(points)
@@ -211,10 +218,7 @@ def _svg_ball(cone, overlay: str) -> Document:
 
 def cmd_ball(args) -> tuple[int, Document]:
     # usage errors before the sample is built
-    if args.max_q < 1:
-        raise PreconditionViolatedError(f"--max-q: {args.max_q} < 1")
-    if args.max_q > _BALL_MAX_Q:
-        raise PreconditionViolatedError(f"--max-q: {args.max_q} > {_BALL_MAX_Q}")
+    _within("--max-q", args.max_q, 1, _BALL_MAX_Q)
     witness = None
     if args.witness is not None:
         if args.format == "csv":
@@ -248,10 +252,7 @@ _TREE_MAX_DEPTH = 15
 
 def cmd_tree(args) -> tuple[int, Document]:
     depth = args.depth
-    if depth < 0:
-        raise PreconditionViolatedError(f"--depth: {depth} < 0")
-    if depth > _TREE_MAX_DEPTH:
-        raise PreconditionViolatedError(f"--depth: {depth} > {_TREE_MAX_DEPTH}")
+    _within("--depth", depth, 0, _TREE_MAX_DEPTH)
     head, inner, sep, tail = _json_cut(
         {"depth": depth}, "nodes", {"path": _MARK, "triple": [_MARK] * 3})
     return 0, _joined(head, _tree_texts(depth, inner), sep, tail)
@@ -294,8 +295,7 @@ def _raising(text: str, ex: Exception) -> Document:
 
 
 def cmd_norm(args) -> tuple[int, Document]:
-    if not math.isfinite(args.tol):  # the payload echoes it, and JSON has no inf
-        raise PreconditionViolatedError(f"--tol must be finite, got {args.tol!r}")
+    _check_tol(args.tol)  # with --exact too, as the payload echoes it
     try:
         if args.exact:
             try:
@@ -333,13 +333,11 @@ _VALUE_MAX_EXP = 500  # frobenius --bound and count's bounds <= 10**_VALUE_MAX_E
 
 def cmd_count(args) -> tuple[int, Document]:
     bounds = args.bounds  # checked before the walk
-    if bounds[0] < 2:
-        raise PreconditionViolatedError(f"bounds: {bounds[0]} < 2")
+    _within("bounds", bounds[0], 2)
     for a, b in zip(bounds, bounds[1:]):
         if b <= a:
             raise PreconditionViolatedError(f"bounds must increase, got {b} after {a}")
-    if bounds[-1] > 10 ** _VALUE_MAX_EXP:
-        raise PreconditionViolatedError(f"bounds: {bounds[-1]} > 10**{_VALUE_MAX_EXP}")
+    _within("bounds", bounds[-1], 2, 10 ** _VALUE_MAX_EXP, f"10**{_VALUE_MAX_EXP}")
     points = fit_constant(bounds)
     records = []
     for pt in points:
@@ -361,10 +359,7 @@ def cmd_frobenius(args) -> tuple[int, Document]:
     except ValueError:
         raise PreconditionViolatedError(
             f"--bound expects a decimal integer, got {args.bound!r}") from None
-    if bound < 1:
-        raise PreconditionViolatedError(f"--bound: {bound} < 1")
-    if bound > 10 ** _VALUE_MAX_EXP:
-        raise PreconditionViolatedError(f"--bound: {bound} > 10**{_VALUE_MAX_EXP}")
+    _within("--bound", bound, 1, 10 ** _VALUE_MAX_EXP, f"10**{_VALUE_MAX_EXP}")
     distinct, duplicates = _collect_by_value(bound)
     code = 0 if not duplicates else 1
     payload = {"bound": str(bound), "duplicates": list(map(str, duplicates)),
@@ -401,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tuple count for family theorem1")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="absolute width bound for family theorem1 only, "
-                        "finite and >= 1e-12")
+                        f"finite and >= {_TOL_MIN!r}")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("ball", cmd_ball, "sample the unit ball boundary")
@@ -417,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="absolute width bound, finite; --exact does not apply it")
+                   help=f"absolute width bound, finite and >= {_TOL_MIN!r}; "
+                        "--exact checks it but does not apply it")
     p.add_argument("--exact", action="store_true",
                    help="treat x, y as exact integers")
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .errors import (AccuracyLimitError, InternalInconsistencyError,
                      PreconditionViolatedError)
 from .indexing import Slope, markov_of_slope, markov_table
-from .norm import NormInterval, norm_real
+from .norm import _TOL_MIN, NormInterval, norm_real
 from .triples import _walk_values
 
 # Each family is a lattice step (dq, dp) in (q, p) coordinates: it compares the
@@ -139,22 +139,24 @@ def _norm_enclosure(x: float, y: float, tol: float):
 
 
 def _certify_less(a, b, tol: float, a_norms: dict) -> bool:
-    """Certify ||a|| < ||b|| by interval disjointness, refining up to 3 times.
+    """Certify ||a|| < ||b|| by interval disjointness, trying tol, tol / 100,
+    tol / 10**4 and then norm_real's floor _TOL_MIN, each clamped to the
+    floor, and stopping once the floor has been tried.
 
     a_norms maps a tolerance to a's enclosure at it, so that comparisons of
     one point with several others enclose that point once per tolerance.
     """
     t = tol
-    for _ in range(4):
+    for k in range(4):
         if t not in a_norms:
             a_norms[t] = _norm_enclosure(*a, tol=t)
         na = a_norms[t]
         nb = _norm_enclosure(*b, tol=t)
         if na is not None and nb is not None and na.hi < nb.lo:
             return True
-        if t <= 1e-12:
+        if t <= _TOL_MIN:
             break
-        t = max(t / 100.0, 1e-12)
+        t = max(t / 100.0, _TOL_MIN) if k < 2 else _TOL_MIN
     return False
 
 

@@ -191,6 +191,7 @@ def _iv_from_int_pow2(n: int, e: int):
 _EXACT_MAX_Q = 1 << 18  # stable_norm_interval's bound on the reduced denominator
 _EXACT_DENOMINATOR_CUTOFF = 512
 _TRACE_BITS = 4096  # norm_real's bound on the bit length of an exact trace
+_TOL_MIN = 1e-12  # norm_real's floor on tol
 
 
 def _dyadic_direction(x: float, y: float):
@@ -215,7 +216,7 @@ def _finish(enc, tol: float, reason: str, *args):
 def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     """Certified enclosure of the norm at a real point, of width <= tol.
 
-    tol is absolute and must be >= 1e-12.  Exact rational directions with
+    tol is absolute and must be >= _TOL_MIN.  Exact rational directions with
     small denominator short-circuit to the exact Markov number; all others
     are sandwiched as described in the module docstring.  The descent gives
     up only when the next substep could build an exact trace of more than
@@ -227,8 +228,8 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
         raise PreconditionViolatedError("coordinates must be finite")
     if x == 0.0 and y == 0.0:
         raise PreconditionViolatedError("the norm direction must be nonzero")
-    if not tol >= 1e-12:
-        raise PreconditionViolatedError(f"tol must be >= 1e-12, got {tol!r}")
+    if not tol >= _TOL_MIN:
+        raise PreconditionViolatedError(f"tol must be >= {_TOL_MIN!r}, got {tol!r}")
 
     X, Y, k = _dyadic_direction(x, y)
     g, pd, qd = _reduced((X, Y))

@@ -253,6 +253,28 @@ def test_norm_rejects_a_non_finite_tol(capsys):
             assert err.startswith("markovnorm: error:")
 
 
+def test_norm_tol_rule_writes_nothing(capsys, monkeypatch, tmp_path):
+    # --tol is norm_real's width bound, finite and at least 1e-12, checked
+    # before any norm and with --exact too, naming the flag.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a norm was computed")
+
+    monkeypatch.setattr(cli, "norm_real", forbidden)
+    monkeypatch.setattr(cli, "stable_norm_interval", forbidden)
+    cases = [(["0.3", "0.7"], tol, message) for tol, message in (
+        ("1e-13", "--tol: 1e-13 < 1e-12"),
+        ("-1", "--tol: -1.0 < 1e-12"),
+        ("inf", "--tol must be finite, got inf"),
+        ("nan", "--tol must be finite, got nan"))]
+    cases.append((["3", "2", "--exact"], "1e-13", "--tol: 1e-13 < 1e-12"))
+    target = tmp_path / "norm.json"
+    for point, tol, message in cases:
+        for out_flag in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, "norm", *point, f"--tol={tol}", *out_flag)
+            assert code == 2 and out == "" and message in err, (point, tol)
+            assert not target.exists()
+
+
 def test_norm_exact_beyond_float_range(capsys):
     code, out, err = run(capsys, "norm", "--exact", str(10**400), "0")
     assert code == 1
@@ -509,6 +531,16 @@ def test_verify_samples_rule_writes_nothing(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_SAMPLES_MAX", 3)
     code, payload, _ = run_json(capsys, "verify", "theorem1", "--samples", "3")
     assert code == 0 and payload["reports"][0]["bound"] == "3"
+
+
+def test_verify_theorem1_loose_tol_refines_to_the_floor(capsys):
+    # At a loose --tol the enclosures overlap; refinement ends at norm_real's
+    # floor, where every sampled inequality is certified.
+    for samples, tol in (("20", "1e300"), ("200", "1e308"), ("50", "1e-3")):
+        code, payload, _ = run_json(capsys, "verify", "theorem1",
+                                    "--samples", samples, "--tol", tol)
+        assert code == 0 and payload["verified"] is True, tol
+        assert payload["reports"][0]["violations"] == []
 
 
 def test_verify_samples_limit_sits_above_every_size_in_use():

@@ -1,10 +1,11 @@
 """Every name a package module or test module imports is used in that module,
-and every private module-level name of the package is referred to.
+every private module-level name of the package is referred to, and
+norm_real's tolerance floor is written once.
 
 A stdlib-only stand-in for a linter's unused-import rule.  The package's
 ``__init__.py`` is skipped there because its imports are the public
 re-exports.  The second check keeps helpers that no code calls any more
-from staying behind.
+from staying behind.  The third keeps the floor from forking again.
 """
 
 import ast
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import markovnorm
+from markovnorm.norm import _TOL_MIN
 
 PACKAGE = sorted(p for p in Path(markovnorm.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -80,6 +82,33 @@ def test_package_refers_to_every_helper():
     package = Path(markovnorm.__file__).parent.glob("*.py")
     assert unreferenced_helpers({p.stem: p.read_text(encoding="utf-8")
                                  for p in package}) == []
+
+
+def floor_literals(source: str) -> list[tuple[int, bool]]:
+    """(line, whether it is the value of an assignment to _TOL_MIN) for each
+    float literal 1e-12 in source."""
+    tree = ast.parse(source)
+    defining = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
+                and [ast.unparse(t) for t in stmt.targets] == ["_TOL_MIN"]
+                for node in ast.walk(stmt.value)}
+    return [(node.lineno, id(node) in defining) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and node.value == 1e-12]
+
+
+def test_checker_finds_every_floor_literal():
+    source = "_TOL_MIN = 1e-12\nx = 1e-12\ny = 1.0E-12\nz = '1e-12'\nw = 1e-9\n"
+    assert floor_literals(source) == [(1, True), (2, False), (3, False)]
+
+
+def test_tol_floor_is_written_once():
+    # norm._TOL_MIN is norm_real's floor on tol: norm_real, the refinement
+    # in conjectures and the CLI's --tol rule all read it from there.
+    assert _TOL_MIN == 1e-12
+    package = sorted(Path(markovnorm.__file__).parent.glob("*.py"))
+    assert [(p.name, defines) for p in package
+            for _, defines in floor_literals(p.read_text(encoding="utf-8"))] == [
+        ("norm.py", True)]
 
 
 @pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: (

@@ -253,6 +253,8 @@ def test_rounding_matches_the_dn_up_composition(a0, a1, b0, b1, c0, c1, d0, d1):
 @example(1)
 @example(2**53 - 1)
 @example(2**53)
+@example(2**53 + 1)  # the first input split by iv_ln_ratio
+@example(2**54 - 1)
 def test_ln_int_matches_the_dn_up_composition(n):
     assert bits(*iv_ln_int(n)) == bits(*_ln_int_by_composition(n))
 

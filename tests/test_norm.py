@@ -1,10 +1,12 @@
 """Tests for the stable norm: symmetry group, exact values, real extension."""
 
+import decimal
 import importlib.util
 import itertools
 import math
 import random
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -440,6 +442,32 @@ def seed1_norm_points(count, strata=(1, 2)):
     points = ((x, y, tol) for x, y, tol, stratum, _ in workloads.norm_points(1)
               if stratum in strata)
     return list(itertools.islice(points, count))
+
+
+def test_math_log_is_within_one_ulp(monkeypatch):
+    # Every enclosure rests on math.log erring by at most a few ulp, which
+    # two nextafter steps cover; after import the certified paths call no
+    # other libm function.  Decimal.ln is correctly rounded, so at 60 digits
+    # it shows the error of each call.  A host that fails this has a libm
+    # the enclosures were not written for; the bound is not to be widened.
+    logged = []
+    shim = types.SimpleNamespace(**vars(math))
+    shim.log = lambda x: logged.append(x) or math.log(x)
+    monkeypatch.setattr(markovnorm.intervals, "math", shim)
+    for point in seed1_norm_points(500, strata=(1, 2, 3, 4)):
+        _outcome(*point)  # every argument iv_ln_int and iv_ln_ratio pass
+    monkeypatch.undo()
+    assert len(logged) > 500
+    rng = random.Random(11)
+    mantissas = [rng.getrandbits(52) | 1 << 52 for _ in range(1500)]
+    scaled = [math.ldexp(m, -rng.randrange(53)) for m in mantissas]
+    powers = [n for k in range(1, 54) for n in (2**k - 1, 2**k, 2**k + 1)
+              if n <= 2**53]
+    exact = decimal.Context(prec=60)
+    for x in set(logged + mantissas + scaled + powers):
+        v = math.log(x)
+        error = exact.subtract(decimal.Decimal(v), exact.ln(decimal.Decimal(x)))
+        assert abs(error) <= math.ulp(v), x
 
 
 def test_small_step_table_holds_the_computed_steps():
