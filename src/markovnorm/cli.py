@@ -78,14 +78,6 @@ def _within(flag: str, value, lo, hi=math.inf, shown=None):
         raise PreconditionViolatedError(f"{flag}: {value!r} > {shown or repr(hi)}")
 
 
-def _check_tol(tol: float):
-    """--tol is norm_real's width bound: finite, since the norm payload echoes
-    it and JSON has no inf, and at least norm_real's floor."""
-    if not math.isfinite(tol):
-        raise PreconditionViolatedError(f"--tol must be finite, got {tol!r}")
-    _within("--tol", tol, _TOL_MIN)
-
-
 _SLICE = 1024  # list entries per text
 
 
@@ -148,19 +140,14 @@ _SAMPLES_MAX = 10000
 
 
 def cmd_verify(args) -> tuple[int, Document]:
-    if args.family == "theorem1":  # before any sample
-        _within("--samples", args.samples, 1, _SAMPLES_MAX)
-        _check_tol(args.tol)
-    else:  # before any table
-        _within("--max", args.max, 2, _VERIFY_MAX)
     if args.family == "theorem1":
-        reports = [verify_theorem1_random(args.samples, tol=args.tol,
-                                          seed=args.seed)]
-    elif args.family == "all":
-        table = markov_table(args.max)
-        reports = [verify_family(f, args.max, table) for f in FAMILIES]
+        _within("--samples", args.samples, 1, _SAMPLES_MAX)  # before any sample
+        reports = [verify_theorem1_random(args.samples, seed=args.seed)]
     else:
-        reports = [verify_family(args.family, args.max)]
+        _within("--max", args.max, 2, _VERIFY_MAX)  # before any table
+        families = FAMILIES if args.family == "all" else (args.family,)
+        table = markov_table(args.max) if len(families) > 1 else None  # shared
+        reports = [verify_family(f, args.max, table) for f in families]
     text = _json({
         "reports": [{
             "family": r.family,
@@ -295,7 +282,10 @@ def _raising(text: str, ex: Exception) -> Document:
 
 
 def cmd_norm(args) -> tuple[int, Document]:
-    _check_tol(args.tol)  # with --exact too, as the payload echoes it
+    # checked with --exact too: the payload echoes it, and JSON has no inf
+    if not math.isfinite(args.tol):
+        raise PreconditionViolatedError(f"--tol must be finite, got {args.tol!r}")
+    _within("--tol", args.tol, _TOL_MIN)
     try:
         if args.exact:
             try:
@@ -394,9 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="denominator bound for the integer families")
     p.add_argument("--samples", type=int, default=100,
                    help="tuple count for family theorem1")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="absolute width bound for family theorem1 only, "
-                        f"finite and >= {_TOL_MIN!r}")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("ball", cmd_ball, "sample the unit ball boundary")

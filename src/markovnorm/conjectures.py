@@ -7,8 +7,9 @@ which Theorem 1 says the stable norm grows, and one table of those steps
 drives the single checks, the exhaustive family runs and the three parts of
 the real-level check.  All integer comparisons are exact; no float is
 consulted.  The real-level counterpart compares certified stable-norm
-intervals and reports Certified only when the intervals are disjoint in the
-claimed order.
+intervals, at one fixed ladder of width bounds down to norm_real's floor,
+and reports Certified only when the intervals are disjoint in the claimed
+order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import enum
 import itertools
 import random
 import time
-from math import gcd, isfinite
+from math import gcd, inf, isfinite
 from operator import attrgetter, eq
 from typing import NamedTuple
 
@@ -129,39 +130,20 @@ class CheckResult(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _norm_enclosure(x: float, y: float, tol: float):
+_TOLERANCES = (1e-9, 1e-11, _TOL_MIN)  # theorem1_check_real's, in turn
+
+
+def _norm_enclosure(x: float, y: float, tol: float) -> NormInterval:
+    """norm_real's enclosure, its best one past tol, or the whole line."""
     if x == 0.0 and y == 0.0:
         return NormInterval(0.0, 0.0)
     try:
         return norm_real(x, y, tol=tol)
     except AccuracyLimitError as ex:
-        return ex.interval
+        return ex.interval or NormInterval(-inf, inf)
 
 
-def _certify_less(a, b, tol: float, a_norms: dict) -> bool:
-    """Certify ||a|| < ||b|| by interval disjointness, trying tol, tol / 100,
-    tol / 10**4 and then norm_real's floor _TOL_MIN, each clamped to the
-    floor, and stopping once the floor has been tried.
-
-    a_norms maps a tolerance to a's enclosure at it, so that comparisons of
-    one point with several others enclose that point once per tolerance.
-    """
-    t = tol
-    for k in range(4):
-        if t not in a_norms:
-            a_norms[t] = _norm_enclosure(*a, tol=t)
-        na = a_norms[t]
-        nb = _norm_enclosure(*b, tol=t)
-        if na is not None and nb is not None and na.hi < nb.lo:
-            return True
-        if t <= _TOL_MIN:
-            break
-        t = max(t / 100.0, _TOL_MIN) if k < 2 else _TOL_MIN
-    return False
-
-
-def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
-                        parts=None) -> CheckResult:
+def theorem1_check_real(q: float, p: float, i: float, parts=None) -> CheckResult:
     """Certify the three stable-norm monotonicity inequalities at (q, p).
 
     Part k compares with the point i steps along family FAMILIES[k - 1]:
@@ -170,6 +152,9 @@ def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
     applicable part is checked.  A comparand with p < 0 leaves the first
     quadrant, so part 3 with p - i < 0 is skipped by default and flagged
     Inconclusive when requested explicitly.
+
+    Each tolerance of _TOLERANCES in turn encloses (q, p) once and certifies
+    every comparand enclosed strictly above it; Certified once none is left.
     """
     _require(all(isfinite(v) for v in (q, p, i)), "arguments must be finite")
     _require(q >= 0 and p >= 0, f"need q, p >= 0, got q={q}, p={p}")
@@ -180,17 +165,19 @@ def theorem1_check_real(q: float, p: float, i: float, tol: float = 1e-9,
              f"parts must be drawn from (1, 2, 3), got {parts!r}")
     if 3 in parts:
         _require(p < q, f"part 3 needs p < q, got q={q}, p={p}")
-    base_norms = {}
-    for part in parts:
-        dq, dp = _STEPS[FAMILIES[part - 1]]
-        other = (q + dq * i, p + dp * i)
-        if other[1] < 0 or not _certify_less((q, p), other, tol, base_norms):
-            return CheckResult.INCONCLUSIVE
-    return CheckResult.CERTIFIED
+    others = [(q + dq * i, p + dp * i)
+              for dq, dp in (_STEPS[FAMILIES[part - 1]] for part in parts)]
+    if any(op < 0 for _, op in others):
+        return CheckResult.INCONCLUSIVE
+    for tol in _TOLERANCES:
+        base = _norm_enclosure(q, p, tol)
+        others = [b for b in others if not base.hi < _norm_enclosure(*b, tol).lo]
+        if not others:
+            return CheckResult.CERTIFIED
+    return CheckResult.INCONCLUSIVE
 
 
-def verify_theorem1_random(samples: int, tol: float = 1e-9,
-                           seed: int = 0) -> VerificationReport:
+def verify_theorem1_random(samples: int, seed: int = 0) -> VerificationReport:
     """Certify Theorem-1 inequalities on random real tuples, all three parts.
 
     Draws (q, p, i) with 0 <= p < q <= _SAMPLE_SCALE and 0 < i <= _SAMPLE_SCALE;
@@ -207,7 +194,7 @@ def verify_theorem1_random(samples: int, tol: float = 1e-9,
         p = rng.uniform(0.0, q * 0.999)
         i = rng.uniform(1e-3, _SAMPLE_SCALE) if rng.random() < 0.5 else rng.uniform(1e-3, max(p, 1e-3))
         cases += 3 if p - i >= 0 else 2  # the parts checked by default
-        if theorem1_check_real(q, p, i, tol=tol) is not CheckResult.CERTIFIED:
+        if theorem1_check_real(q, p, i) is not CheckResult.CERTIFIED:
             violations.append((q, p, i))
     return VerificationReport("theorem1", samples, cases, tuple(violations),
                               time.perf_counter() - t0)

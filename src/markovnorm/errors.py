@@ -22,8 +22,8 @@ class AccuracyLimitError(RuntimeError):
 
     Raised when an enclosure misses the requested tolerance at a named exit
     (``norm_real``'s trace bound, exact hit or tolerance check, or an exact
-    direction), when a value leaves the float range, and when
-    ``stable_norm_interval`` refuses a reduced denominator above 2**18.  The
+    direction), when a value leaves the float range, and when ``stable_norm``
+    or ``stable_norm_interval`` refuses a reduced denominator above 2**18.  The
     best certified enclosure computed so far, if any, is attached as
     ``interval``.
     """

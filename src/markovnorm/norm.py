@@ -107,7 +107,7 @@ def _reduced(v):
     x, y = v
     a, b, _ = sorted((abs(x), abs(y), abs(x + y)))
     if b == 0:
-        raise PreconditionViolatedError("cannot canonicalize the zero vector")
+        raise PreconditionViolatedError("the norm direction must be nonzero")
     g = gcd(a, b)
     return g, a // g, b // g
 
@@ -120,13 +120,24 @@ def _acosh_half_float(n: int) -> float:
     return math.log(n)
 
 
+def _exact_markov(v):
+    """(g, m): v is g times the cone point of Markov number m.  Past a reduced
+    denominator of _EXACT_MAX_Q, AccuracyLimitError: m has up to ~1.4 q bits."""
+    g, p, q = _reduced(v)
+    if q > _EXACT_MAX_Q:
+        raise AccuracyLimitError(f"reduced denominator {q} > {_EXACT_MAX_Q}: use "
+                                 "the real-point route (norm_real; norm x y "
+                                 "without --exact)")
+    return g, markov_of_slope(p, q)
+
+
 def stable_norm(v) -> float:
     """Stable norm of a nonzero integer vector.
 
-    Raises AccuracyLimitError when the norm exceeds the float range.
+    Raises AccuracyLimitError when the norm exceeds the float range, or when
+    the reduced denominator exceeds 2**18, as stable_norm_interval does.
     """
-    g, p, q = _reduced(v)
-    m = markov_of_slope(p, q)
+    g, m = _exact_markov(v)
     try:
         out = g * _acosh_half_float(3 * m)
     except OverflowError:
@@ -142,12 +153,8 @@ def stable_norm_interval(v) -> NormInterval:
     Raises AccuracyLimitError when the enclosure exceeds the float range, or
     when the reduced denominator exceeds 2**18: m(1/q) alone has ~1.4 q bits.
     """
-    g, p, q = _reduced(v)
-    if q > _EXACT_MAX_Q:
-        raise AccuracyLimitError(f"reduced denominator {q} > {_EXACT_MAX_Q}: use "
-                                 "the real-point route (norm_real; norm x y "
-                                 "without --exact)")
-    return NormInterval(*_lattice_norm(markov_of_slope(p, q), g, 0))
+    g, m = _exact_markov(v)
+    return NormInterval(*_lattice_norm(m, g, 0))
 
 
 def _scale(enc, factor):
@@ -188,7 +195,7 @@ def _iv_from_int_pow2(n: int, e: int):
     return (lo, hi)
 
 
-_EXACT_MAX_Q = 1 << 18  # stable_norm_interval's bound on the reduced denominator
+_EXACT_MAX_Q = 1 << 18  # _exact_markov's bound on the reduced denominator
 _EXACT_DENOMINATOR_CUTOFF = 512
 _TRACE_BITS = 4096  # norm_real's bound on the bit length of an exact trace
 _TOL_MIN = 1e-12  # norm_real's floor on tol
@@ -226,8 +233,6 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise PreconditionViolatedError("coordinates must be finite")
-    if x == 0.0 and y == 0.0:
-        raise PreconditionViolatedError("the norm direction must be nonzero")
     if not tol >= _TOL_MIN:
         raise PreconditionViolatedError(f"tol must be >= {_TOL_MIN!r}, got {tol!r}")
 

@@ -15,6 +15,7 @@ from markovnorm import (
     AccuracyLimitError,
     CheckResult,
     InternalInconsistencyError,
+    NormInterval,
     PreconditionViolatedError,
     Slope,
     VerificationReport,
@@ -29,6 +30,7 @@ from markovnorm import (
     verify_family,
     verify_theorem1_random,
 )
+from markovnorm.norm import _TOL_MIN
 
 
 def test_families_constant():
@@ -177,14 +179,37 @@ def test_theorem1_certifies_real_cases():
 
 
 def test_theorem1_parts_step_in_their_family_direction(monkeypatch):
-    compared = []
-    monkeypatch.setattr(conjectures, "_certify_less",
-                        lambda a, b, tol, a_norms: compared.append((a, b)) or True)
+    enclosed = []
+
+    def enclose(x, y, tol):  # the base point below every other
+        enclosed.append((x, y))
+        return NormInterval(*((0.0, 0.0) if (x, y) == (10.0, 3.0) else (1.0, 1.0)))
+
+    monkeypatch.setattr(conjectures, "_norm_enclosure", enclose)
     for part in (1, 2, 3):
-        theorem1_check_real(10.0, 3.0, 2.0, parts=(part,))
-    theorem1_check_real(10.0, 3.0, 2.0)
-    steps = [(12.0, 3.0), (10.0, 5.0), (12.0, 1.0)]
-    assert compared == [((10.0, 3.0), b) for b in steps + steps]
+        assert theorem1_check_real(10.0, 3.0, 2.0, parts=(part,)) is CheckResult.CERTIFIED
+    assert theorem1_check_real(10.0, 3.0, 2.0) is CheckResult.CERTIFIED
+    base, steps = (10.0, 3.0), [(12.0, 3.0), (10.0, 5.0), (12.0, 1.0)]
+    assert enclosed == [base, steps[0], base, steps[1], base, steps[2], base, *steps]
+
+
+def test_theorem1_refines_down_the_ladder_to_the_floor(monkeypatch):
+    # Every enclosure is wide above the floor, where they all overlap, except
+    # those of (10, 3) and (12, 3), narrow from 1e-11 on.  A comparand
+    # certified at one tolerance is not enclosed again at the next.
+    norms = {(10.0, 3.0): 1.0, (12.0, 3.0): 2.0, (10.0, 5.0): 3.0, (12.0, 1.0): 4.0}
+    calls = []
+
+    def wide(x, y, tol):
+        calls.append((tol, (x, y)))
+        narrow = tol == _TOL_MIN or (tol <= 1e-11 and y == 3.0)
+        width = 1e-12 if narrow else 10.0
+        return NormInterval(norms[x, y] - width, norms[x, y] + width)
+
+    monkeypatch.setattr(conjectures, "norm_real", wide)
+    assert theorem1_check_real(10.0, 3.0, 2.0) is CheckResult.CERTIFIED
+    assert [t for t, _ in calls] == [1e-9] * 4 + [1e-11] * 4 + [_TOL_MIN] * 3
+    assert [pt for _, pt in calls] == [*norms] * 2 + [(10.0, 3.0), (10.0, 5.0), (12.0, 1.0)]
 
 
 def test_theorem1_encloses_the_base_point_once_per_tolerance(monkeypatch):
@@ -206,7 +231,7 @@ def test_theorem1_is_inconclusive_without_an_enclosure(monkeypatch):
 
 def test_verify_theorem1_random_lists_every_uncertified_sample(monkeypatch):
     monkeypatch.setattr(conjectures, "theorem1_check_real",
-                        lambda q, p, i, tol: CheckResult.INCONCLUSIVE)
+                        lambda q, p, i: CheckResult.INCONCLUSIVE)
     report = verify_theorem1_random(7, seed=3)
     assert len(report.violations) == 7
     assert not report.verified

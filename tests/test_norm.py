@@ -126,6 +126,11 @@ def test_stable_norm_of_unit_vector_is_two_log_phi():
 
 @given(int_vectors)
 def test_stable_norm_symmetry_invariance(v):
+    if _reduced(v)[2] > 2**18:  # refused at every image alike
+        for g in SYMMETRY_GROUP:
+            with pytest.raises(AccuracyLimitError, match="reduced denominator"):
+                stable_norm(apply_symmetry(g, v))
+        return
     n = stable_norm(v)
     for g in SYMMETRY_GROUP:
         assert stable_norm(apply_symmetry(g, v)) == n
@@ -197,10 +202,11 @@ def test_reduced_reads_the_cone_image_off_the_forms():
 
 
 def test_zero_direction_errors_keep_their_types_and_messages():
-    cases = [(stable_norm, ((0, 0),), "cannot canonicalize the zero vector"),
-             (stable_norm_interval, ((0, 0),), "cannot canonicalize the zero vector"),
+    cases = [(stable_norm, ((0, 0),), "the norm direction must be nonzero"),
+             (stable_norm_interval, ((0, 0),), "the norm direction must be nonzero"),
              (norm_real, (0.0, 0.0), "the norm direction must be nonzero"),
-             (norm_real, (-0.0, 0.0), "the norm direction must be nonzero")]
+             (norm_real, (-0.0, 0.0), "the norm direction must be nonzero"),
+             (canonicalize, ((0, 0),), "cannot canonicalize the zero vector")]
     for fn, args, message in cases:
         with pytest.raises(PreconditionViolatedError) as info:
             fn(*args)
@@ -225,6 +231,17 @@ def test_stable_norm_interval_refuses_huge_denominators(deadline):
     for v in [(2**18 + 1, 1), (123456789012345678901234567890, 3)]:
         with deadline(5), pytest.raises(AccuracyLimitError, match="norm_real"):
             stable_norm_interval(v)
+
+
+def test_stable_norm_refuses_huge_denominators_before_any_markov_number(monkeypatch):
+    # stable_norm has stable_norm_interval's rule: at q = 2**18 + 1 it would
+    # otherwise compute a Markov number of about 365,000 bits.
+    def no_markov(p, q):
+        raise AssertionError(f"m({p}/{q}) was computed")
+
+    monkeypatch.setattr(markovnorm.norm, "markov_of_slope", no_markov)
+    with pytest.raises(AccuracyLimitError, match="reduced denominator 262145 > 262144"):
+        stable_norm(((1 << 18) + 1, 1))
 
 
 def test_stable_norm_beyond_float_range_raises():
@@ -468,6 +485,28 @@ def test_math_log_is_within_one_ulp(monkeypatch):
         v = math.log(x)
         error = exact.subtract(decimal.Decimal(v), exact.ln(decimal.Decimal(x)))
         assert abs(error) <= math.ulp(v), x
+
+
+def test_import_time_tables_contain_their_values():
+    # The tables are built at import with math.exp, sqrt and log1p besides
+    # math.log, and only math.log is checked on its own.  At 50 digits the
+    # decimal values err by far less than the 1e-40 margin each enclosure
+    # must leave on either side.
+    ctx = decimal.Context(prec=50)
+    D = decimal.Decimal
+    acosh_half = lambda t: ctx.ln(ctx.add(ctx.divide(t, 2), ctx.sqrt(ctx.divide(t * t - 4, 4))))
+    margin = D("1e-40")
+
+    def contains(enc, value):
+        return D(enc[0]) <= value - margin and value + margin <= D(enc[1])
+
+    assert len(_SMALL_TRACES) == 85 and len(_SMALL_STEPS) == 166
+    for t, (n, h) in _SMALL_TRACES.items():
+        a = acosh_half(t)
+        assert contains(n, a) and contains(h, a - ctx.ln(D(t))), t
+    for (m1, m0), (n1, d1) in _SMALL_STEPS.items():
+        a1 = acosh_half(3 * m1)
+        assert contains(n1, a1) and contains(d1, a1 - acosh_half(3 * m0)), (m1, m0)
 
 
 def test_small_step_table_holds_the_computed_steps():
