@@ -14,7 +14,7 @@ only, keeping the data byte-reproducible.
 
 Exit codes: 0 success / property verified, 1 mathematical violation or
 failed certification (AccuracyLimitError, its reason on stderr), 2 usage
-error.
+error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -443,7 +443,12 @@ def main(argv=None) -> int:
             _check_out(args.out)
         code, texts = args.fn(args)
         if args.out is None:
-            sys.stdout.writelines(texts)
+            try:
+                sys.stdout.writelines(texts)
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader closed stdout; at exit, flush to devnull
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 141  # 128 + SIGPIPE, what a shell reports for such a writer
         else:
             try:
                 fh = open(args.out, "w", encoding="utf-8")

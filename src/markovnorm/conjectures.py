@@ -4,12 +4,12 @@ Three integer-level families compare m_{p/q} against a neighbour with the
 same numerator, the same denominator, or the same sum p+q.  They are the
 three lattice steps (1, 0), (0, 1) and (1, -1) in (q, p) coordinates along
 which Theorem 1 says the stable norm grows, and one table of those steps
-drives the single checks, the exhaustive family runs and the three parts of
-the real-level check.  All integer comparisons are exact; no float is
-consulted.  The real-level counterpart compares certified stable-norm
-intervals, at one fixed ladder of width bounds down to norm_real's floor,
-and reports Certified only when the intervals are disjoint in the claimed
-order.
+drives the single checks, the exhaustive family runs and the real-level
+check.  All integer comparisons are exact; no float is consulted.  The
+real-level check compares the norm at (q, p) with the norm i steps along
+each family (the sum step only where p < q and p - i >= 0) on certified
+intervals at one fixed ladder of width bounds down to norm_real's floor,
+and reports Certified only when they are disjoint in the claimed order.
 """
 
 from __future__ import annotations
@@ -143,32 +143,29 @@ def _norm_enclosure(x: float, y: float, tol: float) -> NormInterval:
         return ex.interval or NormInterval(-inf, inf)
 
 
-def theorem1_check_real(q: float, p: float, i: float, parts=None) -> CheckResult:
-    """Certify the three stable-norm monotonicity inequalities at (q, p).
+def _comparands(q: float, p: float, i: float) -> list[tuple[float, float]]:
+    """The points i steps from (q, p) along each family it admits, in
+    FAMILIES order; p - i >= 0 keeps the sum step in the first quadrant."""
+    families = FAMILIES if p < q and p - i >= 0 else FAMILIES[:2]
+    points = [(q + dq * i, p + dp * i) for dq, dp in map(_STEPS.get, families)]
+    for family, point in zip(families, points):
+        _require(all(map(isfinite, point)), f"the {family} step of {i} from "
+                 f"(q, p) = ({q}, {p}) leaves the float range")
+    return points
 
-    Part k compares with the point i steps along family FAMILIES[k - 1]:
-    part 1: ||(q,p)|| < ||(q+i,p)||; part 2: ||(q,p)|| < ||(q,p+i)||;
-    part 3 (requires p < q): ||(q,p)|| < ||(q+i,p-i)||.  By default every
-    applicable part is checked.  A comparand with p < 0 leaves the first
-    quadrant, so part 3 with p - i < 0 is skipped by default and flagged
-    Inconclusive when requested explicitly.
 
+def theorem1_check_real(q: float, p: float, i: float) -> CheckResult:
+    """Certify the stable-norm monotonicity inequalities at (q, p).
+
+    ||(q,p)|| < ||(q+i,p)||, ||(q,p)|| < ||(q,p+i)||, and, where p < q and
+    p - i >= 0, ||(q,p)|| < ||(q+i,p-i)||: one comparand per family.
     Each tolerance of _TOLERANCES in turn encloses (q, p) once and certifies
     every comparand enclosed strictly above it; Certified once none is left.
     """
     _require(all(isfinite(v) for v in (q, p, i)), "arguments must be finite")
     _require(q >= 0 and p >= 0, f"need q, p >= 0, got q={q}, p={p}")
     _require(i > 0, f"need i > 0, got {i}")
-    if parts is None:
-        parts = (1, 2, 3) if p < q and p - i >= 0 else (1, 2)
-    _require(set(parts) <= {1, 2, 3} and len(parts) > 0,
-             f"parts must be drawn from (1, 2, 3), got {parts!r}")
-    if 3 in parts:
-        _require(p < q, f"part 3 needs p < q, got q={q}, p={p}")
-    others = [(q + dq * i, p + dp * i)
-              for dq, dp in (_STEPS[FAMILIES[part - 1]] for part in parts)]
-    if any(op < 0 for _, op in others):
-        return CheckResult.INCONCLUSIVE
+    others = _comparands(q, p, i)
     for tol in _TOLERANCES:
         base = _norm_enclosure(q, p, tol)
         others = [b for b in others if not base.hi < _norm_enclosure(*b, tol).lo]
@@ -178,11 +175,11 @@ def theorem1_check_real(q: float, p: float, i: float, parts=None) -> CheckResult
 
 
 def verify_theorem1_random(samples: int, seed: int = 0) -> VerificationReport:
-    """Certify Theorem-1 inequalities on random real tuples, all three parts.
+    """Certify Theorem-1 inequalities on random real tuples.
 
-    Draws (q, p, i) with 0 <= p < q <= _SAMPLE_SCALE and 0 < i <= _SAMPLE_SCALE;
-    part 3 is checked where p - i >= 0, inside the first quadrant.
-    Witnesses are tuples that failed certification.
+    Draws (q, p, i) with 0 <= p < q <= _SAMPLE_SCALE and 0 < i <= _SAMPLE_SCALE
+    and counts one case per comparison the tuple admits.  Witnesses are
+    tuples that failed certification.
     """
     _require(samples >= 1, f"samples must be >= 1, got {samples!r}")
     t0 = time.perf_counter()
@@ -193,7 +190,7 @@ def verify_theorem1_random(samples: int, seed: int = 0) -> VerificationReport:
         q = rng.uniform(1.0, _SAMPLE_SCALE)
         p = rng.uniform(0.0, q * 0.999)
         i = rng.uniform(1e-3, _SAMPLE_SCALE) if rng.random() < 0.5 else rng.uniform(1e-3, max(p, 1e-3))
-        cases += 3 if p - i >= 0 else 2  # the parts checked by default
+        cases += len(_comparands(q, p, i))
         if theorem1_check_real(q, p, i) is not CheckResult.CERTIFIED:
             violations.append((q, p, i))
     return VerificationReport("theorem1", samples, cases, tuple(violations),

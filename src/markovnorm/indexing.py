@@ -176,10 +176,6 @@ def christoffel_word(p: int, q: int) -> str:
     segment from below: after x right-steps the height is floor(p*x/q).
     """
     p, q = as_slope(p, q)
-    if p == 0:
-        return "a"
-    if p == q:
-        return "ab"
     letters = []
     prev = 0
     for x in range(1, q + 1):

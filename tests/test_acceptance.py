@@ -540,7 +540,7 @@ def test_criterion_7_real_norm_and_theorem1():
                     i = rng.uniform(1e-3, p)
                 else:
                     i = rng.uniform(1e-3, 30.0)
-                result = theorem1_check_real(q, p, i, parts=(part,))
+                result = theorem1_check_real(q, p, i)
                 assert result is CheckResult.CERTIFIED
                 done += 1
         elapsed = time.perf_counter() - t0

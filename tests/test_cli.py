@@ -1,8 +1,8 @@
 """End-to-end tests for the command line interface.
 
 Commands run in process through main(argv); stdout payloads are parsed
-back and compared against the library. A single subprocess test checks
-the installed entry point wiring.
+back and compared against the library. Two subprocess tests check the
+installed entry point wiring and a stdout closed by its reader.
 """
 
 import hashlib
@@ -381,6 +381,9 @@ class _Recorder:
     def writelines(self, texts):
         for text in texts:
             self.write(text)
+
+    def flush(self):
+        pass
 
 
 def test_no_write_takes_more_than_one_slice(monkeypatch):
@@ -800,3 +803,15 @@ def test_entry_point_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["markov"] == "13"
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # The reader takes a few bytes of a 2.7 MB document and closes the pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "markovnorm", "tree", "--depth", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(5) == b'{\n  "'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -173,9 +173,6 @@ def test_theorem1_certifies_integer_seed_case():
 
 def test_theorem1_certifies_real_cases():
     assert theorem1_check_real(2.5, 1.25, 0.75) is CheckResult.CERTIFIED
-    assert theorem1_check_real(10.0, 3.0, 2.0, parts=(1,)) is CheckResult.CERTIFIED
-    assert theorem1_check_real(10.0, 3.0, 2.0, parts=(2,)) is CheckResult.CERTIFIED
-    assert theorem1_check_real(10.0, 3.0, 2.0, parts=(3,)) is CheckResult.CERTIFIED
 
 
 def test_theorem1_parts_step_in_their_family_direction(monkeypatch):
@@ -186,11 +183,9 @@ def test_theorem1_parts_step_in_their_family_direction(monkeypatch):
         return NormInterval(*((0.0, 0.0) if (x, y) == (10.0, 3.0) else (1.0, 1.0)))
 
     monkeypatch.setattr(conjectures, "_norm_enclosure", enclose)
-    for part in (1, 2, 3):
-        assert theorem1_check_real(10.0, 3.0, 2.0, parts=(part,)) is CheckResult.CERTIFIED
     assert theorem1_check_real(10.0, 3.0, 2.0) is CheckResult.CERTIFIED
     base, steps = (10.0, 3.0), [(12.0, 3.0), (10.0, 5.0), (12.0, 1.0)]
-    assert enclosed == [base, steps[0], base, steps[1], base, steps[2], base, *steps]
+    assert enclosed == [base, *steps]
 
 
 def test_theorem1_refines_down_the_ladder_to_the_floor(monkeypatch):
@@ -239,16 +234,61 @@ def test_verify_theorem1_random_lists_every_uncertified_sample(monkeypatch):
         assert 0 <= p < q <= 50.0 and 0 < i <= 50.0
 
 
-def test_theorem1_part3_requires_descending_room():
+def recording_enclosures(monkeypatch) -> list:
+    """Patch conjectures._norm_enclosure to record each point it encloses."""
+    enclosed = []
+    real = conjectures._norm_enclosure
+    monkeypatch.setattr(conjectures, "_norm_enclosure", lambda x, y, tol:
+                        enclosed.append((x, y)) or real(x, y, tol))
+    return enclosed
+
+
+def test_theorem1_part3_requires_descending_room(monkeypatch):
     # With p - i < 0 the diagonal comparison leaves the closed cone, so
-    # it is skipped by default and Inconclusive when requested.
+    # (q + i, p - i) is never enclosed.
+    enclosed = recording_enclosures(monkeypatch)
     assert theorem1_check_real(3.0, 0.5, 2.0) is CheckResult.CERTIFIED
-    assert theorem1_check_real(3.0, 0.5, 2.0, parts=(3,)) is CheckResult.INCONCLUSIVE
+    assert enclosed == [(3.0, 0.5), (5.0, 0.5), (3.0, 2.5)]
 
 
-def test_theorem1_part3_rejects_p_at_or_above_q():
-    with pytest.raises(PreconditionViolatedError):
-        theorem1_check_real(1.0, 1.0, 0.5, parts=(3,))
+def test_theorem1_skips_the_sum_step_at_p_at_or_above_q(monkeypatch):
+    # The sum step is stated for p < q, so (q + i, p - i) is never enclosed.
+    enclosed = recording_enclosures(monkeypatch)
+    assert theorem1_check_real(1.0, 1.0, 0.5) is CheckResult.CERTIFIED
+    assert enclosed == [(1.0, 1.0), (1.5, 1.0), (1.0, 1.5)]
+    enclosed.clear()
+    assert theorem1_check_real(2.0, 3.0, 1.0) is CheckResult.CERTIFIED
+    assert enclosed == [(2.0, 3.0), (3.0, 3.0), (2.0, 4.0)]
+
+
+@pytest.mark.parametrize("q, p, i, family", [(1e308, 1.0, 1e308, "numerator"),
+                                             (1.0, 1e308, 1e308, "denominator")])
+def test_theorem1_refuses_a_step_past_the_float_range(monkeypatch, q, p, i, family):
+    calls = []
+    real = conjectures.norm_real
+    monkeypatch.setattr(conjectures, "norm_real",
+                        lambda x, y, tol: calls.append((x, y)) or real(x, y, tol=tol))
+    with pytest.raises(PreconditionViolatedError,
+                       match=f"the {family} step of .* leaves the float range"):
+        theorem1_check_real(q, p, i)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_theorem1_cases_count_the_comparands_enclosed(monkeypatch, seed):
+    # At the first tolerance each sample encloses its base point once and
+    # every comparand it admits once.
+    first = []
+    real = conjectures._norm_enclosure
+
+    def enclose(x, y, tol):
+        if tol == conjectures._TOLERANCES[0]:
+            first.append((x, y))
+        return real(x, y, tol)
+
+    monkeypatch.setattr(conjectures, "_norm_enclosure", enclose)
+    report = verify_theorem1_random(150, seed=seed)
+    assert report.cases == len(first) - 150
 
 
 def test_theorem1_degenerate_step_is_inconclusive():
@@ -261,8 +301,6 @@ def test_theorem1_input_validation():
         theorem1_check_real(1.0, 0.0, 0.0)
     with pytest.raises(PreconditionViolatedError):
         theorem1_check_real(1.0, -0.5, 1.0)
-    with pytest.raises(PreconditionViolatedError):
-        theorem1_check_real(1.0, 0.5, 1.0, parts=(4,))
     # The origin itself is fine: its norm is exactly zero.
     assert theorem1_check_real(0.0, 0.0, 1.0) is CheckResult.CERTIFIED
 

@@ -1,11 +1,13 @@
 """Every name a package module or test module imports is used in that module,
-every private module-level name of the package is referred to, and
-norm_real's tolerance floor is written once.
+every private module-level name of the package is referred to, every
+defaulted parameter of a package function is passed by some package call,
+and norm_real's tolerance floor is written once.
 
 A stdlib-only stand-in for a linter's unused-import rule.  The package's
 ``__init__.py`` is skipped there because its imports are the public
 re-exports.  The second check keeps helpers that no code calls any more
-from staying behind.  The third keeps the floor from forking again.
+from staying behind, the third options that only tests set.  The fourth
+keeps the floor from forking again.
 """
 
 import ast
@@ -82,6 +84,47 @@ def test_package_refers_to_every_helper():
     package = Path(markovnorm.__file__).parent.glob("*.py")
     assert unreferenced_helpers({p.stem: p.read_text(encoding="utf-8")
                                  for p in package}) == []
+
+
+def options_without_caller(sources: dict[str, str]) -> list[str]:
+    """module.function(parameter) for each defaulted parameter of a
+    module-level function that no call in sources (module name -> source)
+    passes, by keyword or by position; calls are matched by name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            options = [(k, arg.arg) for k, arg in enumerate(positional) if k >= first]
+            options += [(None, arg.arg) for arg, default in
+                        zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                        if default is not None]
+            mine = [c for c in calls if fn.name == getattr(c.func, "id",
+                                                           getattr(c.func, "attr", None))]
+            found += [f"{module}.{fn.name}({name})" for k, name in options
+                      if not any(name in {kw.arg for kw in c.keywords}
+                                 or k is not None and len(c.args) > k for c in mine)]
+    return found
+
+
+def test_checker_flags_an_option_without_a_caller():
+    sources = {"a": "def f(x, y=1, z=2, *, w=3):\n    return x\n",
+               "b": "from .a import f\nf(0, 5)\nb.f(0, w=4)\n"}
+    assert options_without_caller(sources) == ["a.f(z)"]
+
+
+def test_every_option_has_a_package_caller():
+    package = Path(markovnorm.__file__).parent.glob("*.py")
+    found = options_without_caller({p.stem: p.read_text(encoding="utf-8")
+                                    for p in package})
+    # main is the entry point: tests and the benchmark pass argv, the
+    # package's own entry calls it with none.
+    assert [name for name in found if name != "cli.main(argv)"] == []
 
 
 def floor_literals(source: str) -> list[tuple[int, bool]]:
