@@ -47,25 +47,27 @@ class VerificationReport(NamedTuple):
         return not self.violations
 
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message: str, *args):
+    """PreconditionViolatedError unless cond; its message is message % args,
+    formatted only when it is raised."""
     if not cond:
-        raise PreconditionViolatedError(message)
+        raise PreconditionViolatedError(message % args)
 
 
 def _check_slope_pair(p: int, q: int):
     _require(all(isinstance(v, int) for v in (p, q)), "p, q must be integers")
-    _require(0 <= p < q, f"need 0 <= p < q, got p={p}, q={q}")
-    _require(gcd(p, q) == 1, f"{p}/{q} is not reduced")
+    _require(0 <= p < q, "need 0 <= p < q, got p=%s, q=%s", p, q)
+    _require(gcd(p, q) == 1, "%s/%s is not reduced", p, q)
 
 
 def _check_step(family: str, p: int, q: int, i: int) -> bool:
     """Exact test of m_{p/q} < m at i steps of the family from p/q."""
     _check_slope_pair(p, q)
-    _require(isinstance(i, int) and i > 0, f"need integer i > 0, got {i!r}")
+    _require(isinstance(i, int) and i > 0, "need integer i > 0, got %r", i)
     dq, dp = _STEPS[family]
     p2, q2 = p + dp * i, q + dq * i
-    _require(0 <= p2 <= q2, f"{p2}/{q2} lies outside [0, 1]")
-    _require(gcd(p2, q2) == 1, f"{p2}/{q2} is not reduced")
+    _require(0 <= p2 <= q2, "%s/%s lies outside [0, 1]", p2, q2)
+    _require(gcd(p2, q2) == 1, "%s/%s is not reduced", p2, q2)
     return markov_of_slope(p, q) < markov_of_slope(p2, q2)
 
 
@@ -99,9 +101,9 @@ def verify_family(family: str, max_bound: int,
     (p, q, i).  A caller checking several families passes the one
     ``markov_table(max_bound)`` as ``table``; by default it is built here.
     """
-    _require(family in FAMILIES, f"unknown family {family!r}")
+    _require(family in FAMILIES, "unknown family %r", family)
     _require(isinstance(max_bound, int) and max_bound >= 2,
-             f"max_bound must be an integer >= 2, got {max_bound!r}")
+             "max_bound must be an integer >= 2, got %r", max_bound)
     t0 = time.perf_counter()
     if table is None:
         table = markov_table(max_bound)
@@ -149,8 +151,8 @@ def _comparands(q: float, p: float, i: float) -> list[tuple[float, float]]:
     families = FAMILIES if p < q and p - i >= 0 else FAMILIES[:2]
     points = [(q + dq * i, p + dp * i) for dq, dp in map(_STEPS.get, families)]
     for family, point in zip(families, points):
-        _require(all(map(isfinite, point)), f"the {family} step of {i} from "
-                 f"(q, p) = ({q}, {p}) leaves the float range")
+        _require(all(map(isfinite, point)), "the %s step of %s from (q, p) = "
+                 "(%s, %s) leaves the float range", family, i, q, p)
     return points
 
 
@@ -163,9 +165,11 @@ def theorem1_check_real(q: float, p: float, i: float) -> CheckResult:
     every comparand enclosed strictly above it; Certified once none is left.
     """
     _require(all(isfinite(v) for v in (q, p, i)), "arguments must be finite")
-    _require(q >= 0 and p >= 0, f"need q, p >= 0, got q={q}, p={p}")
-    _require(i > 0, f"need i > 0, got {i}")
+    _require(q >= 0 and p >= 0, "need q, p >= 0, got q=%s, p=%s", q, p)
+    _require(i > 0, "need i > 0, got %s", i)
     others = _comparands(q, p, i)
+    if (q, p) in others:  # rounding absorbed a step, so no enclosure can part them
+        return CheckResult.INCONCLUSIVE
     for tol in _TOLERANCES:
         base = _norm_enclosure(q, p, tol)
         others = [b for b in others if not base.hi < _norm_enclosure(*b, tol).lo]
@@ -181,7 +185,7 @@ def verify_theorem1_random(samples: int, seed: int = 0) -> VerificationReport:
     and counts one case per comparison the tuple admits.  Witnesses are
     tuples that failed certification.
     """
-    _require(samples >= 1, f"samples must be >= 1, got {samples!r}")
+    _require(samples >= 1, "samples must be >= 1, got %r", samples)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     violations = []
@@ -215,7 +219,7 @@ def _collect_by_value(value_bound: int) -> tuple[list[int], list[int]]:
     """Sorted lists of the distinct Markov numbers <= value_bound and of
     those indexed by more than one slope, which sort into equal neighbours."""
     _require(isinstance(value_bound, int) and value_bound >= 1,
-             f"value_bound must be an integer >= 1, got {value_bound!r}")
+             "value_bound must be an integer >= 1, got %r", value_bound)
     found = []
     for ml, mr, mm in _walk_values(value_bound):
         if ml * ml + mr * mr != mm * (3 * ml * mr - mm):  # Markov's equation

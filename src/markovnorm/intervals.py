@@ -6,7 +6,7 @@ IEEE arithmetic and two steps after library transcendentals (whose error
 is at most a few ulp on every mainstream libm; a test checks that math.log,
 the only one the certified paths call after import, errs by at most 1 ulp).
 Logarithms of integers and of integer ratios of arbitrary precision split
-off the leading 53 bits in one place, iv_ln_ratio, so enclosures stay a few
+off the leading 53 bits in one place, _ln_split, so enclosures stay a few
 ulp wide for integers with millions of bits.
 """
 
@@ -76,8 +76,8 @@ def iv_ln_int(n: int):
     """Enclosure of ln(n) for a positive integer of any size."""
     if n <= 0:
         raise ValueError("iv_ln_int needs a positive integer")
-    if n.bit_length() > 53:  # iv_ln_ratio splits off the leading 53 bits
-        return iv_ln_ratio(n, 1)
+    if n.bit_length() > 53:
+        return _ln_split(n, 1)
     v = math.log(n)
     return (nextafter(nextafter(v, -INF), -INF), nextafter(nextafter(v, INF), INF))
 
@@ -94,6 +94,12 @@ def iv_ln_ratio(a: int, b: int):
     """Enclosure of ln(a / b) for integers a >= b > 0 of any size."""
     if not a >= b > 0:
         raise ValueError("iv_ln_ratio needs a >= b > 0")
+    return _ln_split(a, b)
+
+
+def _ln_split(a: int, b: int):
+    """iv_ln_ratio(a, b) without its argument check: a / b lies in
+    [q, q + 1) 2**e with q of 53 bits, and each end takes one math.log."""
     e = a.bit_length() - b.bit_length() - 52
     q = (a >> e) // b if e > 0 else (a << -e) // b  # a/b in [q, q+1) * 2**e
     if e > 0:  # ln(a / b) > 36, so adding e ln 2 costs no relative accuracy

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from math import gcd
+from math import gcd, inf, isfinite, ldexp, nextafter
 from typing import NamedTuple
 
 from .errors import (
@@ -157,15 +157,6 @@ def stable_norm_interval(v) -> NormInterval:
     return NormInterval(*_lattice_norm(m, g, 0))
 
 
-def _scale(enc, factor):
-    """enc * factor; AccuracyLimitError when its upper end passes the float
-    range."""
-    out = iv_mul(enc, factor)
-    if out[1] == math.inf:
-        raise AccuracyLimitError("norm exceeds float range")
-    return out
-
-
 def _lattice_norm(m: int, g: int, e: int):
     """Enclosure of g 2**e arccosh(3m/2), the norm at g 2**e times the point of
     Markov number m.  AccuracyLimitError past the float range, also when g 2**e
@@ -174,7 +165,10 @@ def _lattice_norm(m: int, g: int, e: int):
         factor = _iv_from_int_pow2(g, e)
     except OverflowError:
         raise AccuracyLimitError("norm exceeds float range") from None
-    return _scale(_norm_parts(3 * m)[0], factor)
+    out = iv_mul(_norm_parts(3 * m)[0], factor)
+    if out[1] == inf:
+        raise AccuracyLimitError("norm exceeds float range")
+    return out
 
 
 def _iv_from_int_pow2(n: int, e: int):
@@ -188,7 +182,7 @@ def _iv_from_int_pow2(n: int, e: int):
         lo, hi = math.ldexp(mant, e + sh), math.ldexp(mant + 1, e + sh)
     else:
         lo = hi = math.ldexp(a, e)
-    if hi < 4.5e-308:  # subnormal ldexp may have rounded either way
+    if hi < _NORMAL_MIN:  # subnormal ldexp may have rounded either way
         lo, hi = max(_dn(lo), 0.0), _up(hi)  # a > 0, so lo stays >= 0
     if n < 0:
         return (-hi, -lo)
@@ -199,25 +193,24 @@ _EXACT_MAX_Q = 1 << 18  # _exact_markov's bound on the reduced denominator
 _EXACT_DENOMINATOR_CUTOFF = 512
 _TRACE_BITS = 4096  # norm_real's bound on the bit length of an exact trace
 _TOL_MIN = 1e-12  # norm_real's floor on tol
-
-
-def _dyadic_direction(x: float, y: float):
-    """Write (x, y) as (X, Y) / 2**k with exact integers X, Y."""
-    nx, dx = x.as_integer_ratio()
-    ny, dy = y.as_integer_ratio()
-    k = max(dx.bit_length(), dy.bit_length()) - 1
-    return nx * ((1 << k) // dx), ny * ((1 << k) // dy), k
+_FLOAT_INT_BOUND = 1 << 53  # every integer below it converts to a float exactly
+# Twice the least normal float.  An ldexp of an integer below _FLOAT_INT_BOUND
+# that lands at or above it is exact, as is the lower end of
+# _iv_from_int_pow2's 53-bit truncation when its upper end does.
+_NORMAL_MIN = 4.5e-308
 
 
 def _finish(enc, tol: float, reason: str, *args):
     """Enforce the tolerance on a scaled enclosure.  The error's message starts
     with reason % args, formatted only when it is raised."""
-    out = NormInterval(max(enc[0], 0.0), enc[1])
-    if out.width <= tol:
-        return out
+    lo, hi = enc
+    if lo < 0.0:
+        lo = 0.0
+    if hi - lo <= tol:
+        return NormInterval(lo, hi)
     raise AccuracyLimitError(
-        f"{reason % args}; width {out.width:.3g} > tol {tol:.3g}", interval=out
-    )
+        f"{reason % args}; width {hi - lo:.3g} > tol {tol:.3g}",
+        interval=NormInterval(lo, hi))
 
 
 def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
@@ -231,66 +224,76 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
     AccuracyLimitError carrying the best enclosure computed so far, its
     message naming the exit and its counters.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
+    if not (isfinite(x) and isfinite(y)):
         raise PreconditionViolatedError("coordinates must be finite")
     if not tol >= _TOL_MIN:
         raise PreconditionViolatedError(f"tol must be >= {_TOL_MIN!r}, got {tol!r}")
 
-    X, Y, k = _dyadic_direction(x, y)
-    g, pd, qd = _reduced((X, Y))
+    # the direction (x, y) 2**k, exact integers since 2**k is the larger
+    # denominator
+    nx, dx = x.as_integer_ratio()
+    ny, dy = y.as_integer_ratio()
+    k = (dx if dx > dy else dy).bit_length() - 1
+    g, pd, qd = _reduced((nx * ((1 << k) // dx), ny * ((1 << k) // dy)))
 
     if qd <= _EXACT_DENOMINATOR_CUTOFF:
         return _finish(_lattice_norm(markov_of_slope(pd, qd), g, -k), tol,
                        "exact direction")
 
-    # Farey sandwich.  Each bracket end L, R carries (c, m, N, a): c = qd p -
-    # pd q, the exact cross product of its vector (q, p) with the direction
-    # (< 0 below, > 0 above), m, its norm enclosure N, and a, the enclosure
-    # of |c| 2**-j, converted once, when the end moves.  The inner chord gives
-    # the upper bound a(R) N(L) + a(L) N(R).  Each side's outer secant, through
-    # the known boundary point O one step further out, gives the lower bound
-    # b N + a (N - N(O)), where b encloses (|c(O)| - |c|) 2**-j, the fixed
-    # end's a at the move.  A move changes only the moving side's secant, so
-    # only its bound is computed and folded into lo, which already holds the
-    # other side's, and the chord is recomputed.  N - N(O) is the exact trace
-    # ratio's ln(m / m(O)) plus h - h(O), with h = N - ln 3m, so that bound
-    # stays a few ulp wide along any run; a move to a trace in the table reads
-    # N and N - N(O) from _SMALL_STEPS.  N - N(O) is positive once the side has
-    # moved, but the right side's first secant, through O = (1, 2), has
-    # arccosh 3 - arccosh 7.5 < 0, which _dot_lo allows for.  Each run from
-    # _runs is one _recurrence_run, and the bounds are checked after every run.
-    # A substep multiplies the mediant's trace 3m by less than the fixed end's
-    # trace, so a run is cut short of a trace past _TRACE_BITS bits; the rest
-    # follows.
-    j = max(qd.bit_length() - 8, 0)
+    # Farey sandwich.  Each bracket end L, R carries (c, m, N, a): c = |qd p -
+    # pd q|, the exact cross product of its vector (q, p) with the direction
+    # (below it at L, above at R), m, its norm enclosure N, and a, the
+    # enclosure of c 2**-j, converted once, when the end moves.  The inner
+    # chord gives the upper bound a(R) N(L) + a(L) N(R).  Each side's outer
+    # secant, through the known boundary point O one step further out, gives
+    # the lower bound b N + a (N - N(O)), where b encloses (c(O) - c) 2**-j,
+    # the fixed end's a at the move.  A move changes only the moving side's
+    # secant, so only its bound is computed and folded into lo, which already
+    # holds the other side's, and the chord is recomputed.  N - N(O) is the
+    # exact trace ratio's ln(m / m(O)) plus h - h(O), with h = N - ln 3m, so
+    # that bound stays a few ulp wide along any run; a move to a trace in the
+    # table reads N and N - N(O) from _SMALL_STEPS.  N - N(O) is positive once
+    # the side has moved, but the right side's first secant, through O =
+    # (1, 2), has arccosh 3 - arccosh 7.5 < 0, which _dot_lo allows for.  A
+    # run from _runs of one substep is stepped in place, a longer one is one
+    # _recurrence_run, and the bounds are checked after every run.  A substep
+    # multiplies the mediant's trace 3m by less than the fixed end's trace, so
+    # a run is cut short of a trace past _TRACE_BITS bits; the rest follows.
+    j = qd.bit_length() - 8
     n3, n6, d6 = _START
-    b0 = _iv_from_int_pow2(qd, -j)
-    al, ar = _iv_from_int_pow2(pd, -j), _iv_from_int_pow2(qd - pd, -j)
-    ends = [(-pd, 1, n3, al), (qd - pd, 2, n6, ar)]
+    if qd < _FLOAT_INT_BOUND:  # j <= 45: exact conversions, to normal floats
+        u, v, w = ldexp(qd, -j), ldexp(pd, -j), ldexp(qd - pd, -j)
+        b0, al, ar = (u, u), (v, v), (w, w)
+    else:
+        b0 = _iv_from_int_pow2(qd, -j)
+        al, ar = _iv_from_int_pow2(pd, -j), _iv_from_int_pow2(qd - pd, -j)
+    ends = [(pd, 1, n3, al), (qd - pd, 2, n6, ar)]
     m_med = 5
     # The norm is the scale g 2**(j - k) times the norm of the direction
     # (qd, pd) 2**-j.  The scale stays in the float range: g qd 2**-k <= |x|
     # + |y|, and qd > 512 makes j >= 2 and qd 2**-j >= 128.  The norm leaves it
     # once a lower bound times the scale's lower end rounds to inf.  That is
-    # checked at every bound, the first made before any run, since the last
-    # _scale, by the same enclosure, would raise the same error only after the
-    # whole descent.
-    scale_lo, scale_hi = scale = _iv_from_int_pow2(g, j - k)
+    # checked at every bound, the first made before any run, since the final
+    # scaling, by the same enclosure, would raise the same error only after
+    # the whole descent.
+    scale_lo, scale_hi = _iv_from_int_pow2(g, j - k)
     scaled_tol = 0.9 * tol / scale_hi  # conservative, for the direction's enclosure
 
     # the best enclosure so far; the first secants pass through O = (1, -1)
     # and (1, 2)
     lo = max(0.0, _dot_lo(b0, n3, al, (0.0, 0.0)), _dot_lo(b0, n6, ar, d6))
-    hi = math.inf
+    hi = inf
     runs = _runs(pd, qd)
     substeps = run = 0
 
     while True:
         (_, _, nl, al), (_, _, nr, ar) = ends
-        hi = min(hi, _dot_hi(ar, nl, al, nr))
+        bound = _dot_hi(ar, nl, al, nr)
+        if bound < hi:
+            hi = bound
         if lo > hi:
             raise InternalInconsistencyError("sandwich enclosures disagree")
-        if lo * scale_lo == math.inf:
+        if lo * scale_lo == inf:
             raise AccuracyLimitError("norm exceeds float range")
         if hi - lo <= scaled_tol:
             reason = "tolerance"
@@ -305,22 +308,36 @@ def norm_real(x: float, y: float, tol: float = 1e-9) -> NormInterval:
                 reason = "exact hit"
                 break
         (cs, ms, _, _), (cf, mf, _, af) = ends[side], ends[1 - side]
-        room = (_TRACE_BITS - (3 * m_med).bit_length()) // (3 * mf).bit_length()
-        n = min(run, room)
-        if n == 0:
+        n = (_TRACE_BITS - (3 * m_med).bit_length()) // (3 * mf).bit_length()
+        if run < n:
+            n = run
+        # m0 is O, the moving end before the last substep
+        if n == 1:
+            m1, m_med, m0 = m_med, 3 * mf * m_med - ms, ms
+        elif n:
+            m1, m_med = _recurrence_run(mf, ms, m_med, n)
+            m0 = 3 * mf * m1 - m_med
+        else:
             reason = "trace bound"
             break
-        m1, m_med = _recurrence_run(mf, ms, m_med, n)
-        m0 = ms if n == 1 else 3 * mf * m1 - m_med  # O: the end before the last substep
         n1, d1 = _SMALL_STEPS.get((m1, m0)) or _step(m1, m0)
-        c1 = cs + n * cf
-        a1 = _iv_from_int_pow2(abs(c1), -j)
+        c1 = cs - n * cf
+        a = ldexp(c1, -j) if c1 < _FLOAT_INT_BOUND else 0.0
+        a1 = (a, a) if a >= _NORMAL_MIN else _iv_from_int_pow2(c1, -j)
         ends[side] = (c1, m1, n1, a1)
-        lo = max(lo, _dot_lo(af, n1, a1, d1))
+        bound = _dot_lo(af, n1, a1, d1)
+        if bound > lo:
+            lo = bound
         substeps += n
         run -= n
 
-    return _finish(_scale((lo, hi), scale), tol, "%s: %d substeps, %d-bit trace",
+    # lo and the scale's ends are >= 0, so of iv_mul's four products the
+    # outer two bound the scaled enclosure
+    out_hi = nextafter(hi * scale_hi, inf)
+    if out_hi == inf:
+        raise AccuracyLimitError("norm exceeds float range")
+    return _finish((nextafter(lo * scale_lo, -inf), out_hi), tol,
+                   "%s: %d substeps, %d-bit trace",
                    reason, substeps, (3 * m_med).bit_length())
 
 

@@ -274,6 +274,18 @@ def test_theorem1_refuses_a_step_past_the_float_range(monkeypatch, q, p, i, fami
     assert calls == []
 
 
+@pytest.mark.parametrize("q, p, i", [(1.7976931348623157e308, 5.0, 1.0),
+                                     (1.0, 1e17, 1.0)])
+def test_theorem1_step_absorbed_by_rounding_is_inconclusive_at_once(monkeypatch, q, p, i):
+    # q + i == q (or p + i == p): the comparand is (q, p) itself, which no
+    # enclosure can place above itself, so no norm is computed.
+    def no_norm(x, y, tol):
+        raise AssertionError(f"norm_real({x!r}, {y!r}) was called")
+
+    monkeypatch.setattr(conjectures, "norm_real", no_norm)
+    assert theorem1_check_real(q, p, i) is CheckResult.INCONCLUSIVE
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_theorem1_cases_count_the_comparands_enclosed(monkeypatch, seed):
     # At the first tolerance each sample encloses its base point once and

@@ -1,13 +1,15 @@
 """Every name a package module or test module imports is used in that module,
 every private module-level name of the package is referred to, every
 defaulted parameter of a package function is passed by some package call,
-and norm_real's tolerance floor is written once.
+norm_real's tolerance floor is written once, and every precondition message
+of conjectures is formatted only when it is raised.
 
 A stdlib-only stand-in for a linter's unused-import rule.  The package's
 ``__init__.py`` is skipped there because its imports are the public
 re-exports.  The second check keeps helpers that no code calls any more
 from staying behind, the third options that only tests set.  The fourth
-keeps the floor from forking again.
+keeps the floor from forking again, the fifth keeps passing checks from
+paying for the text of their failure.
 """
 
 import ast
@@ -152,6 +154,38 @@ def test_tol_floor_is_written_once():
     assert [(p.name, defines) for p in package
             for _, defines in floor_literals(p.read_text(encoding="utf-8"))] == [
         ("norm.py", True)]
+
+
+def preformatted_requires(source: str) -> list[int]:
+    """Lines of the _require calls in source whose message is not a plain
+    string literal whose placeholders take exactly the arguments passed
+    after it: an f-string, text formatted before the call, or a mismatch
+    that would surface only when the check fails."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_require"):
+            continue
+        message = node.args[1] if len(node.args) > 1 else None
+        try:
+            message.value % ((0,) * (len(node.args) - 2))
+        except (AttributeError, TypeError, ValueError):
+            found.append(node.lineno)
+    return found
+
+
+def test_checker_flags_a_preformatted_message():
+    source = ('_require(ok, f"got {x}")\n_require(ok, "got %r" % x)\n'
+              '_require(ok, "got {}".format(x))\n_require(ok, "got %s")\n'
+              '_require(ok, "got %s", x, y)\n_require(ok)\n'
+              '_require(ok, "got %s or %r", x, y)\n_require(ok, "plain")\n')
+    assert preformatted_requires(source) == [1, 2, 3, 4, 5, 6]
+
+
+def test_require_messages_are_formatted_when_raised():
+    package = sorted(Path(markovnorm.__file__).parent.glob("*.py"))
+    assert [(p.name, line) for p in package
+            for line in preformatted_requires(p.read_text(encoding="utf-8"))] == []
 
 
 @pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: (

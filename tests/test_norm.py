@@ -1,6 +1,7 @@
 """Tests for the stable norm: symmetry group, exact values, real extension."""
 
 import decimal
+import hashlib
 import importlib.util
 import itertools
 import math
@@ -265,9 +266,14 @@ def test_norm_real_beyond_float_range_raises():
 
 def test_norm_real_beyond_float_range_raises_before_the_descent(monkeypatch):
     runs = []
-    real = markovnorm.norm._recurrence_run
-    monkeypatch.setattr(markovnorm.norm, "_recurrence_run",
-                        lambda *args: runs.append(args) or real(*args))
+    real = markovnorm.norm._runs
+
+    def spied(p, q):  # records each run as the descent takes it
+        for found in real(p, q):
+            runs.append(found)
+            yield found
+
+    monkeypatch.setattr(markovnorm.norm, "_runs", spied)
     with pytest.raises(AccuracyLimitError, match="float range"):
         norm_real(1.7e308, 1.6e308)
     assert runs == []
@@ -543,6 +549,41 @@ def test_norm_real_is_the_same_without_the_step_table(monkeypatch):
     assert len(ratios) - served > 2 * served  # most moves come from the table
     assert not all(isinstance(o, NormInterval) for o in with_table)  # stratum 3
     assert [repr(o) for o in with_table] == [repr(o) for o in without_table]
+
+
+def test_norm_real_outcomes_are_pinned():
+    # norm_real's arithmetic is tuned for speed, so every enclosure, message
+    # and payload is pinned: floats as hex, on the first 2,000 seed-1
+    # benchmark points of all four strata and on each exit of the descent.
+    def hexed(enc):
+        return enc and (enc.lo.hex(), enc.hi.hex())
+
+    def outcome(x, y, tol):
+        try:
+            return hexed(norm_real(x, y, tol))
+        except AccuracyLimitError as ex:
+            return str(ex), hexed(ex.interval)
+
+    points = seed1_norm_points(2000, strata=(1, 2, 3, 4)) + [
+        (1.7e308, 1.7e308, 1e-9),  # float range, exact direction
+        (1.7e308, 1.6e308, 1e-9),  # float range, before the descent
+        (1.1749037613944586e308, 8.708995939917553e307, 1e300),  # after a run
+        (1.2345678901234e300, 9.87654321e299, 1e290),  # tolerance near 1e300
+        (1.2345678901234e300, 9.87654321e299, 1e-12),  # trace bound there
+        (1.3e300, 7e299, 1e-12),  # exact direction past its tol
+        (1.234567e-300, 9.87654e-301, 1e-12),  # a tiny scale
+        (-4.2e-310, 3.3e-310, 1e-12),  # a subnormal scale
+        (1.0, 5e-324, 1e-9),  # subnormal cross products
+        (46.66953476242516, 1.443976190057819e-08, 1e-9),  # cross products
+        (7.2357548968620895, 3.5495583927164684e-07, 1e-12),  # past 2**53
+        (10.441360999647113, 2.3938648767537627, 3.0),  # first bounds only
+        (614400.0, 1024.0, 1e-12),  # exact hit
+        (870.319518530656, 857.9951066621662, 1e-12),  # trace bound
+        (1e15, 1.0, 0.1),  # trace bound, no tol reachable
+    ]
+    found = hashlib.sha256(repr([outcome(*point) for point in points]).encode())
+    assert found.hexdigest() == (
+        "e04358754a09e9bfa2939e2fe9ae02eaa37eecea6a1534abcc76b3f6535dac4a")
 
 
 def test_norm_real_moves_take_h_of_their_own_traces(monkeypatch):
