@@ -47,9 +47,7 @@ from .indexing import (
 from .norm import (
     SYMMETRY_GROUP,
     NormInterval,
-    apply_symmetry,
     ball_boundary_sample,
-    canonicalize,
     norm_real,
     stable_norm,
     stable_norm_interval,

@@ -7,11 +7,12 @@ symmetry group of the norm ball, and by convexity to the whole plane.
 The group acts on the three linear forms x, y and -x - y by signed
 permutations, so it keeps the values |x|, |y|, |x + y|; at a cone point
 (q, p) they are p <= q <= q + p.  The cone image of (x, y) is therefore
-(b, a), with a <= b the two smaller of those values.  The unit ball's
-boundary is the cone sample carried round by the group, one sector at a
-time (``_ball_sectors``), for ``ball_boundary_sample`` and the CLI alike;
-the group holds -I, so the far half of the sectors is the near half by
-sign, formatted once.
+(b, a), with a <= b the two smaller of those values, and ``_reduced`` is
+the one cone map.  ``SYMMETRY_GROUP`` is the group's one listing, in the
+angular order of its sectors: the ball's boundary is the cone sample
+carried round by the group, one sector at a time (``_ball_sectors``), for
+``ball_boundary_sample`` and the CLI alike; the group holds -I, so the far
+half of the sectors is the near half by sign, formatted once.
 
 Real directions are evaluated by sandwiching: descend the Farey tree towards
 the direction one Stern-Brocot run at a time, keep the bracketing boundary
@@ -73,30 +74,10 @@ class NormInterval(NamedTuple):
 # The rotation r = [[0,-1],[1,1]] of order six and the coordinate swap s
 # generate the symmetry group of the norm ball (McShane-Rivin).  r**k and
 # r**k s map the cone onto two adjacent sectors, so k = 3, 4, 5, 0, 1, 2
-# (r**3 = -I) lists the group in the angular order of its sectors from -pi.
-_SECTORS = tuple(h for g in accumulate([(-1, 0, 0, -1)] + [(0, -1, 1, 1)] * 5, mat_mul)
-                 for h in (g, mat_mul(g, (0, 1, 1, 0))))
-SYMMETRY_GROUP = tuple(sorted(_SECTORS))
-
-
-def apply_symmetry(g, v):
-    a, b, c, d = g
-    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
-
-
-def canonicalize(v):
-    """Map an integer vector into the cone 0 <= p <= q.
-
-    Returns (w, g) with w = g v; the cone representative is unique, and g
-    is the first matching group element in a fixed order.
-    """
-    if v[0] == 0 and v[1] == 0:
-        raise PreconditionViolatedError("cannot canonicalize the zero vector")
-    for g in SYMMETRY_GROUP:
-        w = apply_symmetry(g, v)
-        if w[0] > 0 and 0 <= w[1] <= w[0]:
-            return w, g
-    raise InternalInconsistencyError(f"no symmetry maps {v!r} into the cone")
+# (r**3 = -I) gives the group's one listing, in its sectors' order from -pi.
+SYMMETRY_GROUP = tuple(
+    h for g in accumulate([(-1, 0, 0, -1)] + [(0, -1, 1, 1)] * 5, mat_mul)
+    for h in (g, mat_mul(g, (0, 1, 1, 0))))
 
 
 def _reduced(v):
@@ -399,9 +380,9 @@ def _ball_sectors(cone, fmt):
     iterator of (x, y) per sector in turn from -pi; cone is _ball_cone's and
     fmt returns a float or its text.
 
-    Each g in _SECTORS maps the sorted cone onto its sector in angular order,
-    reversed when det g = -1, and without the start ray, where the previous
-    sector ends.  Every coordinate is (e q + f p) / n for one of the group's
+    Each g in SYMMETRY_GROUP maps the sorted cone onto its sector in angular
+    order, reversed when det g = -1, and without the start ray, where the
+    previous sector ends.  Every coordinate is (e q + f p) / n for one of the group's
     six rows (e, f).  Since -I = r**3 is in the group, they are the rows
     (1, 0), (0, 1) and (1, 1), where e q + f p >= 0 on the cone, and their
     negatives.  Only the first three are computed and formatted, once per
@@ -416,7 +397,7 @@ def _ball_sectors(cone, fmt):
         rows[-e, -f] = (list(map("-".__add__, row)) if isinstance(row[0], str)
                         else [-x for x in row])
     rows[0, -1][0] = rows[0, 1][0]  # the zero at (1, 0), unsigned
-    for a, b, c, d in _SECTORS:
+    for a, b, c, d in SYMMETRY_GROUP:
         cut = slice(1, None) if a * d - b * c == 1 else slice(-2, None, -1)
         yield zip(rows[a, b][cut], rows[c, d][cut])
 

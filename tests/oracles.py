@@ -138,6 +138,48 @@ def mp_norm_of_markov(m: int, scale: int = 1, dps: int = 60) -> mpmath.mpf:
         return scale * mpmath.acosh(mpmath.mpf(3 * m) / 2)
 
 
+def symmetry_group() -> set[tuple[int, int, int, int]]:
+    """The norm ball's symmetry group: the closure of the rotation r =
+    [[0,-1],[1,1]] and the swap s = [[0,1],[1,0]] under multiplication.
+
+    Matrices are row-major tuples (a, b, c, d).  The closure holds I = r**6.
+    """
+    def mul(g, h):
+        a, b, c, d = g
+        e, f, i, j = h
+        return (a * e + b * i, a * f + b * j, c * e + d * i, c * f + d * j)
+
+    group = {(0, -1, 1, 1), (0, 1, 1, 0)}
+    while True:
+        grown = group | {mul(g, h) for g in group for h in group}
+        if grown == group:
+            return group
+        group = grown
+
+
+def apply_symmetry(g, v):
+    """The matrix g = (a, b, c, d) times the column vector v."""
+    a, b, c, d = g
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+
+_SORTED_GROUP = sorted(symmetry_group())
+
+
+def canonicalize(v):
+    """(w, g): w = g v lies in the cone 0 <= p <= q with q > 0, and g is the
+    first element of the symmetry group, in sorted order, that maps v there.
+
+    Every element is tried in turn.  ValueError at the zero vector, which
+    no element maps into the cone.
+    """
+    for g in _SORTED_GROUP:
+        w = apply_symmetry(g, v)
+        if w[0] > 0 and 0 <= w[1] <= w[0]:
+            return w, g
+    raise ValueError(f"no symmetry maps {v!r} into the cone")
+
+
 def convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Convex hull (counterclockwise, no duplicates) by monotone chain."""
     pts = sorted(set(points))

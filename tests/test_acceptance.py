@@ -17,11 +17,8 @@ import mpmath
 
 import oracles
 from markovnorm import (
-    SYMMETRY_GROUP,
     CheckResult,
-    apply_symmetry,
     ball_boundary_sample,
-    canonicalize,
     count_lattice,
     count_triples,
     enumerate_tree,
@@ -36,6 +33,7 @@ from markovnorm import (
     theorem1_check_real,
 )
 from markovnorm.intervals import iv_ln_int
+from markovnorm.norm import _reduced
 
 
 @contextlib.contextmanager
@@ -438,7 +436,7 @@ def test_criterion_5_frobenius_uniqueness(brute_1e4):
 
 def _mp_norm_bounds(v, dps):
     """High precision bounds on the stable norm of an integer vector."""
-    w, _ = canonicalize(v)
+    w, _ = oracles.canonicalize(v)
     g = math.gcd(w[0], w[1])
     m = markov_of_slope(w[1] // g, w[0] // g)
     with mpmath.workdps(dps):
@@ -491,19 +489,19 @@ def test_criterion_6_norm_axioms():
                 assert _mp_strict_triangle(u, v), (u, v)
             pairs += 1
 
+        # Every image of a primitive vector has the vector's cone image under
+        # the package's _reduced, the cone map every norm path runs: the same
+        # slope, so the same Markov number and the same norm.
+        group = oracles.symmetry_group()
         orbits = 0
         for a in range(-40, 41):
             for b in range(-40, 41):
                 if (a, b) == (0, 0) or math.gcd(abs(a), abs(b)) != 1:
                     continue
-                w, _ = canonicalize((a, b))
-                # Same canonical slope means the same Markov number exactly,
-                # hence the same norm value for every image of the vector.
-                m = markov_of_slope(w[1], w[0])
-                assert m >= 1
-                for gmat in SYMMETRY_GROUP:
-                    w2, _ = canonicalize(apply_symmetry(gmat, (a, b)))
-                    assert w2 == w
+                (q, p), _ = oracles.canonicalize((a, b))
+                assert markov_of_slope(p, q) >= 1
+                for gmat in group:
+                    assert _reduced(oracles.apply_symmetry(gmat, (a, b))) == (1, p, q)
                 orbits += 1
         g.detail = (
             f"homogeneity 100, triangle 100 strict ({strict_float} at "

@@ -1,18 +1,21 @@
 """Every name a package module or test module imports is used in that module,
 every private module-level name of the package is referred to, every
 defaulted parameter of a package function is passed by some package call,
-norm_real's tolerance floor is written once, and every precondition message
-of conjectures is formatted only when it is raised.
+norm_real's tolerance floor is written once, every precondition message
+of conjectures is formatted only when it is raised, and only the cone map
+words the zero-direction error.
 
 A stdlib-only stand-in for a linter's unused-import rule.  The package's
 ``__init__.py`` is skipped there because its imports are the public
 re-exports.  The second check keeps helpers that no code calls any more
 from staying behind, the third options that only tests set.  The fourth
 keeps the floor from forking again, the fifth keeps passing checks from
-paying for the text of their failure.
+paying for the text of their failure, and the sixth keeps a second cone
+map, with a message of its own, from coming back.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -154,6 +157,49 @@ def test_tol_floor_is_written_once():
     assert [(p.name, defines) for p in package
             for _, defines in floor_literals(p.read_text(encoding="utf-8"))] == [
         ("norm.py", True)]
+
+
+def zero_vector_messages(source: str) -> list[str]:
+    """The innermost function around each error message in source that
+    speaks of a zero vector, with the word "zero" or "nonzero".  An error
+    message is the text of a call to _require or to a name ending in Error."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = ast.unparse(child.func).split(".")[-1]
+                texts = [n.value for n in ast.walk(child)
+                         if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                if (name == "_require" or name.endswith("Error")) and any(
+                        re.search(r"\b(non)?zero\b", t, re.IGNORECASE) for t in texts):
+                    found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_zero_vector_message():
+    source = ('def f(v):\n    raise ValueError("cannot map the zero vector")\n'
+              'def g(v):\n    _require(v != (0, 0), "v must be nonzero, got %r", v)\n'
+              'def h(v):\n    def inner():\n        return errors.Error(f"{v} is Zero")\n'
+              '    raise inner()\n'
+              'def k(v):\n    print("zero")\n    raise ValueError("v must be positive")\n'
+              'E = OutOfRangeError("a zeroth row")\n')
+    assert zero_vector_messages(source) == ["f", "g", "inner"]
+
+
+def test_only_reduced_words_the_zero_direction_error():
+    # _reduced is the one cone map, so every norm path words the zero
+    # direction the same.  The CLI's message names its flag.
+    package = sorted(Path(markovnorm.__file__).parent.glob("*.py"))
+    assert [(p.name, where) for p in package
+            for where in zero_vector_messages(p.read_text(encoding="utf-8"))] == [
+        ("cli.py", "cmd_ball"), ("norm.py", "_reduced")]
 
 
 def preformatted_requires(source: str) -> list[int]:

@@ -12,6 +12,7 @@ import markovnorm.indexing
 import oracles
 from markovnorm import (
     GENERATORS,
+    InternalInconsistencyError,
     OutOfRangeError,
     PreconditionViolatedError,
     Slope,
@@ -246,6 +247,16 @@ def test_trace_is_three_times_markov():
         w = christoffel_word(p, q)
         t = mat_trace(word_matrix(w))
         assert t == 3 * markov_of_slope(p, q)
+
+
+def test_trace_route_refuses_a_trace_off_the_multiples_of_three():
+    # tr = 3m on every Christoffel matrix; any other trace is a fault of the
+    # route, named in the error.
+    for trace in (1, 5, 3**40 + 2):
+        with pytest.raises(InternalInconsistencyError) as info:
+            markovnorm.indexing._trace_to_markov(trace)
+        assert str(info.value) == f"trace {trace} is not divisible by 3"
+    assert markovnorm.indexing._trace_to_markov(3**40) == 3**39
 
 
 def test_word_matrices_are_unimodular():

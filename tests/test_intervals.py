@@ -175,6 +175,19 @@ def test_ln_ratio_requires_a_ratio_of_at_least_one():
             iv_ln_ratio(a, b)
 
 
+@pytest.mark.parametrize("fn, arg, message", [
+    (iv_sqrt, (-1e-300, 1.0), "interval sqrt of a negative lower bound"),
+    (iv_log1p, (-1.0, 0.5), "interval log1p needs arguments > -1"),
+    (iv_log1p, (-2.0, -1.5), "interval log1p needs arguments > -1"),
+    (iv_ln_int, 0, "iv_ln_int needs a positive integer"),
+    (iv_acosh_half_int, 2, "iv_acosh_half_int needs n >= 3"),
+], ids=["sqrt", "log1p-at-minus-one", "log1p-below", "ln-int", "acosh-half-int"])
+def test_argument_checks_raise_value_error(fn, arg, message):
+    with pytest.raises(ValueError) as info:
+        fn(arg)
+    assert info.type is ValueError and str(info.value) == message
+
+
 @given(st.lists(moderate, min_size=2, max_size=8))
 def test_product_chain_stays_tight(xs):
     iv = (1.0, 1.0)

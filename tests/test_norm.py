@@ -25,9 +25,7 @@ from markovnorm import (
     OutOfRangeError,
     PreconditionViolatedError,
     Slope,
-    apply_symmetry,
     ball_boundary_sample,
-    canonicalize,
     markov_of_slope_via_trace,
     markov_table,
     norm_real,
@@ -51,6 +49,7 @@ from markovnorm.norm import (
     _ball_cone,
     _ball_sectors,
     _iv_from_int_pow2,
+    _lattice_norm,
     _norm_parts,
     _reduced,
 )
@@ -88,25 +87,16 @@ def test_group_is_closed_and_unimodular():
             assert mat_mul(g, h) in SYMMETRY_GROUP
 
 
-@given(int_vectors)
-def test_canonicalize_lands_in_cone(v):
-    w, g = canonicalize(v)
-    assert g in SYMMETRY_GROUP
-    assert apply_symmetry(g, v) == w
-    assert w[0] > 0 and 0 <= w[1] <= w[0]
+def test_group_is_the_closure_of_r_and_s():
+    assert set(SYMMETRY_GROUP) == oracles.symmetry_group()
 
 
-@given(int_vectors)
-def test_canonicalize_is_orbit_invariant(v):
-    w, _ = canonicalize(v)
-    for g in SYMMETRY_GROUP:
-        w2, _ = canonicalize(apply_symmetry(g, v))
-        assert w2 == w
-
-
-def test_canonicalize_rejects_zero():
-    with pytest.raises(PreconditionViolatedError):
-        canonicalize((0, 0))
+def test_group_is_listed_in_sector_order():
+    # _ball_sectors draws the sectors in the order of SYMMETRY_GROUP: the
+    # images of a point inside the cone go round once from -pi.
+    images = [oracles.apply_symmetry(g, (3, 1)) for g in SYMMETRY_GROUP]
+    angles = [math.atan2(y, x) for x, y in images]
+    assert all(a < b for a, b in zip(angles, angles[1:]))
 
 
 def test_stable_norm_anchor_values():
@@ -127,14 +117,15 @@ def test_stable_norm_of_unit_vector_is_two_log_phi():
 
 @given(int_vectors)
 def test_stable_norm_symmetry_invariance(v):
+    images = [oracles.apply_symmetry(g, v) for g in oracles.symmetry_group()]
     if _reduced(v)[2] > 2**18:  # refused at every image alike
-        for g in SYMMETRY_GROUP:
+        for w in images:
             with pytest.raises(AccuracyLimitError, match="reduced denominator"):
-                stable_norm(apply_symmetry(g, v))
+                stable_norm(w)
         return
     n = stable_norm(v)
-    for g in SYMMETRY_GROUP:
-        assert stable_norm(apply_symmetry(g, v)) == n
+    for w in images:
+        assert stable_norm(w) == n
 
 
 @given(
@@ -154,8 +145,8 @@ def test_stable_norm_homogeneity(v, k):
 )
 def test_stable_norm_interval_contains_reference(v):
     lo, hi = stable_norm_interval(v)
-    # canonicalize handles signs; recompute through the slope directly.
-    w, _ = canonicalize(v)
+    # the oracle's cone image handles signs; recompute through the slope.
+    w, _ = oracles.canonicalize(v)
     exact = reference_norm(w[0], w[1])
     assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
     assert hi - lo <= 1e-12 * hi
@@ -187,8 +178,8 @@ def test_stable_norm_rejects_zero():
 
 
 def _reduced_by_the_group(v):
-    """_reduced's (g, p, q) from canonicalize's trials of the 12 elements."""
-    (q, p), _ = canonicalize(v)
+    """_reduced's (g, p, q) from the oracle's trials of the 12 elements."""
+    (q, p), _ = oracles.canonicalize(v)
     g = math.gcd(q, p)
     return g, p // g, q // g
 
@@ -206,8 +197,7 @@ def test_zero_direction_errors_keep_their_types_and_messages():
     cases = [(stable_norm, ((0, 0),), "the norm direction must be nonzero"),
              (stable_norm_interval, ((0, 0),), "the norm direction must be nonzero"),
              (norm_real, (0.0, 0.0), "the norm direction must be nonzero"),
-             (norm_real, (-0.0, 0.0), "the norm direction must be nonzero"),
-             (canonicalize, ((0, 0),), "cannot canonicalize the zero vector")]
+             (norm_real, (-0.0, 0.0), "the norm direction must be nonzero")]
     for fn, args, message in cases:
         with pytest.raises(PreconditionViolatedError) as info:
             fn(*args)
@@ -309,6 +299,18 @@ def test_from_int_in_the_subnormal_range_keeps_its_sign(n, e):
     exact = n * Fraction(2) ** e
     assert Fraction(lo) <= exact <= Fraction(hi)
     assert lo >= 0.0 if n > 0 else hi <= 0.0
+
+
+def test_norm_real_clamps_a_negative_lower_end_to_zero():
+    # At the least subnormal the exact exit's enclosure of 2**-1074
+    # arccosh(3/2) reaches below zero, and _finish raises its lower end to
+    # the norm's floor.
+    assert _lattice_norm(1, 1, -1074) == (-5e-324, 1.5e-323)
+    for x, y in [(5e-324, 0.0), (0.0, -5e-324)]:
+        lo, hi = norm_real(x, y)
+        assert (lo, hi) == (0.0, 1.5e-323) and math.copysign(1.0, lo) == 1.0
+        exact = mpmath.mpf(5e-324) * oracles.mp_acosh_half(3)
+        assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
 
 
 def coprime_pairs(max_q, rng):
@@ -692,14 +694,15 @@ def test_ball_boundary_sample_is_nearly_convex():
 
 
 def test_ball_boundary_sample_matches_stable_norm_orbits():
+    group = oracles.symmetry_group()
     for max_q in (1, 2, 7, 25, 60):
         seen = {}
         for q in range(1, max_q + 1):
             for p in range(q + 1):
                 if math.gcd(p, q) == 1:
                     n = stable_norm((q, p))
-                    for g in SYMMETRY_GROUP:
-                        w = apply_symmetry(g, (q, p))
+                    for g in group:
+                        w = oracles.apply_symmetry(g, (q, p))
                         seen[w] = (w[0] / n, w[1] / n)
         expected = [seen[w] for w in sorted(seen, key=lambda w: math.atan2(w[1], w[0]))]
         assert ball_boundary_sample(max_q) == expected

@@ -2,7 +2,13 @@
 
 import math
 
+from hypothesis import given, strategies as st
+
 import oracles
+
+int_vectors = st.tuples(
+    st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
+).filter(lambda v: v != (0, 0))
 
 
 def test_brute_force_matches_naive_search():
@@ -52,6 +58,30 @@ def test_staircase_word_letter_counts():
 def test_fibonacci_and_pell():
     assert [oracles.fibonacci(n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
     assert [oracles.pell(n) for n in range(8)] == [0, 1, 2, 5, 12, 29, 70, 169]
+
+
+def test_symmetry_group_is_the_closure():
+    group = oracles.symmetry_group()
+    assert len(group) == 12
+    assert {(1, 0, 0, 1), (-1, 0, 0, -1), (0, 1, 1, 0), (0, -1, 1, 1)} <= group
+    for g in group:
+        assert abs(g[0] * g[3] - g[1] * g[2]) == 1
+
+
+@given(int_vectors)
+def test_canonicalize_lands_in_cone(v):
+    w, g = oracles.canonicalize(v)
+    assert g in oracles.symmetry_group()
+    assert oracles.apply_symmetry(g, v) == w
+    assert w[0] > 0 and 0 <= w[1] <= w[0]
+
+
+@given(int_vectors)
+def test_canonicalize_is_orbit_invariant(v):
+    w, _ = oracles.canonicalize(v)
+    for g in oracles.symmetry_group():
+        w2, _ = oracles.canonicalize(oracles.apply_symmetry(g, v))
+        assert w2 == w
 
 
 def test_hull_helpers():
